@@ -41,8 +41,8 @@ obsbench:
 
 # bench4 regenerates the batched-execution artifact: BENCH_3's contents
 # plus the interleaved A/A-controlled batch section (shared prepared
-# plans + sweep joins vs both ablated, with plan-reuse and sweep-join
-# counters as evidence). CI gates its geomean against this file.
+# plans vs plan reuse ablated, with plan-reuse counters as evidence).
+# CI gates its geomean against this file.
 bench4:
 	$(GO) run ./cmd/taubench -exp obsreport -reps 15 -json BENCH_4.json
 

@@ -1,12 +1,12 @@
 package taupsm_test
 
-// Correctness property of batched fragment execution: plan reuse and
-// sweep-line joins are pure execution-strategy changes, so over the
-// full 16-query benchmark corpus the batched MAX path (shared prepared
-// plan + sweep joins, the default) must produce exactly the rows of
-// the unbatched MAX path (both features ablated) — same order — under
-// serial and parallel evaluation, and the same multiset as PERST
-// slicing and as a database recovered from snapshot + WAL.
+// Correctness property of batched fragment execution: plan reuse is a
+// pure execution-strategy change, so over the full 16-query benchmark
+// corpus the batched MAX path (shared prepared plan, the default) must
+// produce exactly the rows of the unbatched MAX path (plan reuse
+// ablated) — same order — under serial and parallel evaluation, and
+// the same multiset as PERST slicing and as a database recovered from
+// snapshot + WAL.
 
 import (
 	"testing"
@@ -25,8 +25,7 @@ func TestBatchedExecutionProperty(t *testing.T) {
 
 	mem := taupsm.Open()
 	enginetest.LoadCorpus(t, mem, spec)
-	// ANALYZE arms the overlap-depth statistics the sweep-vs-probe
-	// choice reads, mirroring the benchmark runner's setup.
+	// ANALYZE mirrors the benchmark runner's setup.
 	mem.MustExec("ANALYZE")
 
 	fs := wal.NewMemFS()
@@ -73,10 +72,10 @@ func TestBatchedExecutionProperty(t *testing.T) {
 					q.Name, par, want, g)
 			}
 
-			// Unbatched: both tentpole features ablated.
-			eng.DisablePlanReuse, eng.DisableSweepJoin = true, true
+			// Unbatched: plan reuse ablated.
+			eng.DisablePlanReuse = true
 			plain, err := mem.Query(sql)
-			eng.DisablePlanReuse, eng.DisableSweepJoin = false, false
+			eng.DisablePlanReuse = false
 			if err != nil {
 				t.Fatalf("%s par=%d unbatched: %v", q.Name, par, err)
 			}
@@ -128,8 +127,6 @@ func TestBatchedExecutionProperty(t *testing.T) {
 	if mem.Metrics().Value("engine.plan_reuse_hits_total") == 0 {
 		t.Fatal("no execution served a relation from the prepared plan; the property compared nothing")
 	}
-	t.Logf("batched property: %d pairs agree; plan_reuse_hits=%d sweep_joins=%d",
-		pairs,
-		mem.Metrics().Value("engine.plan_reuse_hits_total"),
-		mem.Metrics().Value("engine.sweep_joins_total"))
+	t.Logf("batched property: %d pairs agree; plan_reuse_hits=%d",
+		pairs, mem.Metrics().Value("engine.plan_reuse_hits_total"))
 }

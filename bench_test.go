@@ -228,29 +228,25 @@ func BenchmarkHashIndexes(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedExecution ablates the two batched-execution features
-// together and separately: the shared prepared plan (source relations,
-// join hash tables and sorted spans reused across fragment executions)
-// and the sweep-line interval join. The one-year context gives the
-// sweep's cost model enough constant periods to choose it; q7 joins
-// three temporal tables, so the plan caches several relations.
+// BenchmarkBatchedExecution ablates the shared prepared plan: source
+// relations and join hash tables reused across fragment executions.
+// The one-year context slices q7 into many constant periods, and q7
+// joins three temporal tables, so the plan caches several relations.
 func BenchmarkBatchedExecution(b *testing.B) {
 	r := getBenchRunner(b, taubench.DS1(taubench.Small))
 	q, _ := taubench.QueryByName("q7")
 	eng := r.DB.Engine()
 	for _, cfg := range []struct {
-		name                 string
-		noPlanReuse, noSweep bool
+		name        string
+		noPlanReuse bool
 	}{
-		{"batched", false, false},
-		{"no-plan-reuse", true, false},
-		{"no-sweep", false, true},
-		{"unbatched", true, true},
+		{"batched", false},
+		{"no-plan-reuse", true},
 	} {
 		cfg := cfg
 		b.Run(cfg.name, func(b *testing.B) {
-			eng.DisablePlanReuse, eng.DisableSweepJoin = cfg.noPlanReuse, cfg.noSweep
-			defer func() { eng.DisablePlanReuse, eng.DisableSweepJoin = false, false }()
+			eng.DisablePlanReuse = cfg.noPlanReuse
+			defer func() { eng.DisablePlanReuse = false }()
 			for i := 0; i < b.N; i++ {
 				if m := r.RunSequenced(q, taupsm.Max, 365); m.Err != nil {
 					b.Fatal(m.Err)

@@ -105,12 +105,12 @@ type translationEntry struct {
 	// parallelSafe caches the statement-shape analysis gating parallel
 	// fragment evaluation.
 	parallelSafe bool
-	// prepared is the entry's shared prepared plan: source relations,
-	// join hash tables, and sorted spans built by one execution and
-	// reused — under per-table version validation — by every later
-	// execution and by parallel workers. Created lazily under db.mu;
-	// dropped with the entry (cache wipe or invalidation), which is the
-	// only eviction the plan itself needs.
+	// prepared is the entry's shared prepared plan: source relations
+	// and join hash tables built by one execution and reused — under
+	// per-table version validation — by every later execution and by
+	// parallel workers. Created lazily under db.mu; dropped with the
+	// entry (cache wipe or invalidation), which is the only eviction
+	// the plan itself needs.
 	prepared *engine.Prepared
 }
 

@@ -11,7 +11,6 @@ import (
 	"taupsm/internal/core"
 	"taupsm/internal/obs"
 	"taupsm/internal/sqlast"
-	"taupsm/internal/storage"
 	"taupsm/internal/temporal"
 	"taupsm/internal/types"
 )
@@ -77,18 +76,10 @@ type Explain struct {
 	// PlanReuse reports whether a shared prepared plan for this
 	// statement already exists (built by a prior execution and still
 	// attached to its translation-cache entry): executing now would
-	// serve source relations, join hash tables, and sorted interval
-	// spans from it instead of rebuilding them per fragment. Read-only
-	// probe, like TranslationCacheHit.
+	// serve source relations and join hash tables from it instead of
+	// rebuilding them per fragment. Read-only probe, like
+	// TranslationCacheHit.
 	PlanReuse bool
-	// JoinMethod is the predicted interval-join algorithm for the
-	// statement's temporal join — "sweep" (sweep-line over the sorted
-	// interval spans) or "probe" (per-row interval-index probes) — and
-	// JoinReason the cost-model clause that decided it. Empty when the
-	// statement reaches fewer than two temporal tables (no temporal
-	// join to choose for).
-	JoinMethod string
-	JoinReason string
 	// Durability summarizes the database's write-ahead-log state (epoch,
 	// log bytes, what recovery replayed) for persistent databases; empty
 	// for in-memory ones.
@@ -147,12 +138,11 @@ type AnalyzeInfo struct {
 	// only): bytes appended and fsync batches issued.
 	WALBytes, WALFsyncs int64
 	// PlanReuseHits counts source relations and join hash tables this
-	// statement served from the shared prepared plan; SweepJoins counts
-	// overlap joins answered by the sweep-line algorithm. Both are this
-	// statement's deltas, not the plan's lifetime totals — repeated
+	// statement served from the shared prepared plan. It is this
+	// statement's delta, not the plan's lifetime total — repeated
 	// EXPLAIN ANALYZE of one statement reports comparable figures even
 	// though the plan is shared across the batch.
-	PlanReuseHits, SweepJoins int64
+	PlanReuseHits int64
 }
 
 // Explain parses one statement (a bare statement or an EXPLAIN
@@ -234,7 +224,6 @@ func (db *DB) explainAnalyzeParsed(ctx context.Context, body sqlast.Stmt) (*Expl
 		WALBytes:               st.walBytes,
 		WALFsyncs:              st.walFsyncs,
 		PlanReuseHits:          st.planHits,
-		SweepJoins:             st.sweepJoins,
 	}
 	return e, nil
 }
@@ -290,41 +279,6 @@ func (db *DB) ExplainParsed(stmt sqlast.Stmt) (*Explain, error) {
 			e.ConstantPeriods = len(temporal.ConstantPeriods(db.collectTimePoints(t.TemporalTables, t.Dim), ctx))
 			if !db.UseFigure8SQL {
 				e.CPCacheHit = db.peekCP(cpKey(ctx, t.TemporalTables, t.Dim))
-			}
-		}
-
-		// Predict the interval-join algorithm for MAX's injected stab
-		// join. At runtime the outer stream is the cp relation (one row
-		// per constant period) and the inner is a stored temporal table —
-		// the largest one models the most expensive join. The prediction
-		// consults the same cost model the executor does
-		// (core.ChooseJoin), fed with the statistics registry's overlap
-		// depth when the inner table has been ANALYZEd; it is an
-		// estimate, and actual_sweep_joins under EXPLAIN ANALYZE is the
-		// ground truth.
-		if t.NeedsConstantPeriods && e.ConstantPeriods > 0 {
-			var inner *storage.Table
-			for _, name := range t.TemporalTables {
-				tab := db.eng.Cat.Table(name)
-				if tab != nil && (inner == nil || len(tab.Rows) > len(inner.Rows)) {
-					inner = tab
-				}
-			}
-			if inner != nil {
-				depth, _ := db.eng.TabStats.OverlapDepth(inner)
-				sweep, reason := core.ChooseJoin(core.JoinFeatures{
-					OuterRows:    int64(e.ConstantPeriods),
-					InnerRows:    int64(len(inner.Rows)),
-					OverlapDepth: depth,
-					// Full-table sorted spans are cached by the table's
-					// interval index, so setup is not charged.
-					SpansCached: true,
-				})
-				e.JoinMethod = "probe"
-				if sweep {
-					e.JoinMethod = "sweep"
-				}
-				e.JoinReason = string(reason)
 			}
 		}
 	}
@@ -473,9 +427,6 @@ func (e *Explain) Result() *Result {
 		} else {
 			add("plan_reuse", "new")
 		}
-		if e.JoinMethod != "" {
-			add("join", fmt.Sprintf("%s (%s)", e.JoinMethod, e.JoinReason))
-		}
 	}
 	if a := e.Analyzed; a != nil {
 		add("actual_time", a.Total.String())
@@ -517,7 +468,6 @@ func (e *Explain) Result() *Result {
 		}
 		if e.Kind == "sequenced" {
 			add("actual_plan_reuse", fmt.Sprintf("%d", a.PlanReuseHits))
-			add("actual_sweep_joins", fmt.Sprintf("%d", a.SweepJoins))
 		}
 		hitMiss := func(hit bool) string {
 			if hit {

@@ -89,92 +89,6 @@ const (
 	ReasonProbeError Reason = "perst_probe_error"
 )
 
-// JoinFeatures describes one interval-overlap join the engine (or
-// EXPLAIN, predictively) must pick an algorithm for: probe the inner
-// table's interval tree once per outer row, or sweep the inner side's
-// begin-sorted spans against the sorted outer stab points.
-type JoinFeatures struct {
-	// OuterRows and InnerRows are the joined relation sizes.
-	OuterRows, InnerRows int64
-	// OverlapDepth is the inner table's peak overlap depth from the
-	// statistics registry's last ANALYZE, 0 when unknown. Deep overlap
-	// makes every probe collect (and re-sort) a large candidate list,
-	// which the sweep shares across equal stab points.
-	OverlapDepth int64
-	// SpansCached reports that the begin-sorted spans already exist
-	// (storage caches them with the interval index for full-table
-	// scans; a prepared plan caches them for filtered scans), so the
-	// sweep skips its O(n log n) setup.
-	SpansCached bool
-}
-
-// Join algorithm reasons, recorded by EXPLAIN's join row.
-const (
-	// ReasonSweepDepth: the sweep was chosen; with ANALYZE statistics
-	// the overlap-depth term contributed to the decision.
-	ReasonSweepDepth Reason = "sweep_overlap_depth"
-	// ReasonSweepSize: the sweep was chosen on relation sizes alone
-	// (no ANALYZE statistics).
-	ReasonSweepSize Reason = "sweep_size"
-	// ReasonProbeSmall: either side is too small for the sweep's setup
-	// to amortize; per-row probing (or the nested loop) wins.
-	ReasonProbeSmall Reason = "probe_small"
-	// ReasonProbeCost: the modeled probe cost stayed below the sweep's.
-	ReasonProbeCost Reason = "probe_cost"
-)
-
-// SweepMinRows is the relation size below which a sweep join is never
-// considered: the per-probe tree descent is cheap in absolute terms and
-// unit-scale workloads should keep the probe path's counters.
-var SweepMinRows = int64(32)
-
-// ChooseJoin picks the overlap-join algorithm from a simple cost
-// model. Probing costs one tree descent plus a candidate collection
-// and sort per outer row; sweeping costs one sort of the outer stab
-// points, one walk of the inner spans (plus their sort when not
-// cached), and a heap scan per distinct point. The per-candidate
-// residual evaluation is identical on both sides and cancels.
-func ChooseJoin(f JoinFeatures) (sweep bool, reason Reason) {
-	if f.OuterRows < SweepMinRows || f.InnerRows < SweepMinRows {
-		return false, ReasonProbeSmall
-	}
-	depth := f.OverlapDepth
-	if depth < 1 {
-		depth = 1
-	}
-	// Per outer row, a probe pays a tree descent with poor locality
-	// (constant ~4 on top of the comparison count) and sorts its own
-	// candidate list of ~depth entries.
-	probe := float64(f.OuterRows) * (lg(f.InnerRows) + 4 + float64(depth)*lg(depth))
-	setup := float64(f.InnerRows) * lg(f.InnerRows)
-	if f.SpansCached {
-		setup = 0
-	}
-	// The sweep pays one sort of the outer points, the span walk, and
-	// a heap scan of ~depth open intervals per outer row.
-	cost := float64(f.OuterRows)*lg(f.OuterRows) + float64(f.InnerRows) + setup +
-		float64(f.OuterRows)*float64(depth)
-	if cost >= probe {
-		return false, ReasonProbeCost
-	}
-	if f.OverlapDepth > 0 {
-		return true, ReasonSweepDepth
-	}
-	return true, ReasonSweepSize
-}
-
-// lg is log2 clamped below at 1, on counts.
-func lg(n int64) float64 {
-	l := float64(0)
-	for v := n; v > 1; v >>= 1 {
-		l++
-	}
-	if l < 1 {
-		return 1
-	}
-	return l
-}
-
 // Choose applies the §VII-F heuristic.
 func Choose(f Features) Strategy {
 	s, _ := ChooseExplained(f)

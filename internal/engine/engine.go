@@ -39,7 +39,11 @@ type Stats struct {
 	LogWrites       int64 // rows appended to tables (models DBMS log pressure)
 	IntervalProbes  int64 // temporal overlap-index stab queries answered
 	PlanReuseHits   int64 // source relations served from a shared prepared plan
-	SweepJoins      int64 // overlap joins answered by the sweep-line algorithm
+
+	// SweepJoins is always zero: the engine has one overlap-join path,
+	// the interval-index probe. The field is kept only because the
+	// perfbench harness reads it.
+	SweepJoins int64
 }
 
 // Reset zeroes the counters.
@@ -101,12 +105,6 @@ type DB struct {
 	// MaxRecursion bounds routine call nesting.
 	MaxRecursion int
 
-	// LogWriteCost simulates per-row transaction-log overhead
-	// (nanoseconds of busy work per inserted row). The paper observed
-	// DB2's transaction log dominating PERST cursor-per-period queries
-	// (§VII-C); a non-zero cost reproduces that effect.
-	LogWriteCost time.Duration
-
 	// DisableCostOrdering turns off the evaluation of cheap predicates
 	// before stored-routine invocations. Ablation switch: with it on,
 	// MAX-sliced queries call routines once per *candidate* tuple
@@ -118,20 +116,11 @@ type DB struct {
 	// Ablation switch.
 	DisableIndexes bool
 
-	// DisableFnMemo turns off per-statement memoization of pure
-	// stored-function results (see fnmemo.go). Ablation switch.
-	DisableFnMemo bool
-
 	// DisablePlanReuse turns off the shared prepared-plan caches (source
-	// relations, join hash tables, sorted interval spans) of
+	// relations and join hash tables) of
 	// ExecPreparedWithTables, forcing every fragment execution to redo
 	// its per-statement work. Ablation switch.
 	DisablePlanReuse bool
-
-	// DisableSweepJoin turns off the sweep-line overlap join, keeping
-	// the per-row interval-index probe (or nested loop) path. Ablation
-	// switch.
-	DisableSweepJoin bool
 
 	// plans caches the analysis phase of SELECT evaluation, shared by
 	// all sessions of this database (see selPlan).
@@ -213,10 +202,9 @@ func (db *DB) execTop(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 }
 
 // newFnMemo returns a fresh per-statement function-result memo, or nil
-// when memoization is off (ablation, or detailed mode — spans must
-// correspond to real executions).
+// in detailed mode: spans must correspond to real executions.
 func (db *DB) newFnMemo() *fnMemoState {
-	if db.DisableFnMemo || db.Tracer != nil {
+	if db.Tracer != nil {
 		return nil
 	}
 	return &fnMemoState{gen: db.writeGen}
@@ -579,14 +567,4 @@ func (db *DB) statsDrop(j *Journal, name string) {
 // resolve temporal-context bounds.
 func (db *DB) EvalConstExpr(e sqlast.Expr) (types.Value, error) {
 	return db.evalExpr(&execCtx{db: db}, e)
-}
-
-// logDelay simulates transaction-log write cost for inserted rows.
-func (db *DB) logDelay(nrows int) {
-	db.Stats.LogWrites += int64(nrows)
-	if db.LogWriteCost > 0 && nrows > 0 {
-		deadline := time.Now().Add(time.Duration(nrows) * db.LogWriteCost)
-		for time.Now().Before(deadline) {
-		}
-	}
 }

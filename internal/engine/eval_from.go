@@ -27,8 +27,8 @@ type rel struct {
 	tab  *storage.Table
 	ords []int
 	// prepEnt is set when this relation was served from a Prepared
-	// cache; joinRels uses it to share hash tables and sorted spans
-	// across the executions of a fragment batch.
+	// cache; joinRels uses it to share hash tables across the
+	// executions of a fragment batch.
 	prepEnt *prepRel
 }
 
@@ -695,13 +695,6 @@ func (db *DB) joinRels(ctx *execCtx, left, right *rel, on []*conjunct, leftOuter
 	if right.tab != nil && len(right.metas) == 1 &&
 		len(right.ords) == len(right.rows) && !db.DisableIndexes {
 		if x := findStab(rest, right.tab, right.metas[0].alias); x != nil {
-			// Sweep-line alternative: one pass over begin-sorted spans
-			// and sorted stab points instead of a tree probe per left
-			// row; candidate sets, residual checks, and output order are
-			// identical to the probe path below.
-			if swept, ok, err := db.sweepJoin(ctx, left, right, x, rest, leftOuter); ok {
-				return swept, err
-			}
 			lscope := newBoundScope(ctx.scope, left.metas)
 			lctx := ctx.withScope(lscope)
 			var cand []int

@@ -121,17 +121,3 @@ func TestFnMemoSkipsImpureFunctions(t *testing.T) {
 		t.Fatalf("impure wrapper ran %d audit inserts total, want 4", len(res.Rows))
 	}
 }
-
-// DisableFnMemo turns the optimization off: repeated calls all execute
-// and no memo hits are counted.
-func TestFnMemoDisabled(t *testing.T) {
-	db := memoDB(t)
-	db.DisableFnMemo = true
-	mustExec(t, db, `SELECT get_v(1) + get_v(1) FROM counters WHERE k = 1`)
-	if db.Stats.RoutineMemoHits != 0 {
-		t.Fatalf("RoutineMemoHits = %d with memo disabled, want 0", db.Stats.RoutineMemoHits)
-	}
-	if db.Stats.RoutineCalls != 2 {
-		t.Fatalf("RoutineCalls = %d, want 2", db.Stats.RoutineCalls)
-	}
-}

@@ -12,8 +12,7 @@ import (
 // per-statement structures that are identical for every fragment —
 // materialized source relations whose pushdown filters are closed
 // (reference nothing that changes between executions), the hash tables
-// joinRels builds over them, and the begin-sorted interval spans the
-// sweep-line join consumes — cached once and reused by every
+// joinRels builds over them — cached once and reused by every
 // execution that runs with the same Prepared attached.
 //
 // The stratum creates one Prepared per cached translation and passes
@@ -42,9 +41,8 @@ func NewPrepared() *Prepared {
 // prepRel is one cached source relation, keyed by the FROM-clause node
 // that produced it. tab/version/now/push are the validity stamp; rel
 // is served to evalSelect as a shallow struct copy (its rows are never
-// mutated in place by the evaluator — filters reallocate). The derived
-// caches (join hash tables by key signature, begin-sorted spans) are
-// built on demand under mu.
+// mutated in place by the evaluator — filters reallocate). The join
+// hash tables, keyed by key signature, are built on demand under mu.
 type prepRel struct {
 	tab     *storage.Table
 	version int64
@@ -53,12 +51,8 @@ type prepRel struct {
 
 	rel *rel
 
-	mu       sync.Mutex
-	hashes   map[string]map[string][][][]types.Value
-	spans    []storage.IntervalSpan
-	spansOdd []int
-	spansOK  bool
-	hasSpans bool
+	mu     sync.Mutex
+	hashes map[string]map[string][][][]types.Value
 }
 
 // valid reports whether the entry still describes table t filtered by
@@ -168,20 +162,6 @@ func (e *prepRel) putHash(sig string, idx map[string][][][]types.Value) {
 		e.hashes = map[string]map[string][][][]types.Value{}
 	}
 	e.hashes[sig] = idx
-}
-
-// cachedSpans returns the begin-sorted spans of the cached relation's
-// rows, if a previous sweep join built them.
-func (e *prepRel) cachedSpans() (spans []storage.IntervalSpan, odd []int, built, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.spans, e.spansOdd, e.hasSpans, e.spansOK
-}
-
-func (e *prepRel) putSpans(spans []storage.IntervalSpan, odd []int, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.spans, e.spansOdd, e.hasSpans, e.spansOK = spans, odd, true, ok
 }
 
 // hashIndexFor builds (or serves from the prepared plan) the hash

@@ -28,17 +28,6 @@ type intervalIndex struct {
 	// center, so the recursion would never shrink), so they are kept
 	// aside and filtered linearly.
 	empt []tableInterval
-	// spans is every indexable row's period sorted ascending by begin
-	// (ties by ordinal) — the cursor a sweep-line overlap join walks
-	// instead of stabbing the tree once per outer row.
-	spans []IntervalSpan
-}
-
-// IntervalSpan is one row's half-open [Begin, End) period with its
-// ordinal in Table.Rows, for sweep-line consumers.
-type IntervalSpan struct {
-	Begin, End int64
-	Ord        int
 }
 
 type intervalNode struct {
@@ -207,19 +196,12 @@ func (t *Table) buildIntervalIdx() *intervalIndex {
 			continue
 		}
 		iv := tableInterval{begin: b.I, end: e.I, ord: i}
-		idx.spans = append(idx.spans, IntervalSpan{Begin: iv.begin, End: iv.end, Ord: iv.ord})
 		if iv.end <= iv.begin {
 			idx.empt = append(idx.empt, iv)
 			continue
 		}
 		ivs = append(ivs, iv)
 	}
-	sort.Slice(idx.spans, func(i, j int) bool {
-		if idx.spans[i].Begin != idx.spans[j].Begin {
-			return idx.spans[i].Begin < idx.spans[j].Begin
-		}
-		return idx.spans[i].Ord < idx.spans[j].Ord
-	})
 	idx.root = buildIntervalTree(ivs)
 	return idx
 }
@@ -245,21 +227,6 @@ func (t *Table) Overlapping(lo, hi int64) (ords []int, ok bool) {
 	out = append(out, idx.odd...)
 	sort.Ints(out)
 	return out, true
-}
-
-// SortedSpans returns every indexable row's [begin_time, end_time)
-// period sorted ascending by begin (ties by ordinal), plus the
-// ordinals of rows with non-temporal endpoint values (which every
-// index consumer must treat as always-candidates). Both slices are
-// shared, immutable, and cached with the interval index — callers must
-// not modify them. Returns ok=false when the table has no period
-// columns to index.
-func (t *Table) SortedSpans() (spans []IntervalSpan, odd []int, ok bool) {
-	idx := t.intervalIdx()
-	if idx == nil {
-		return nil, nil, false
-	}
-	return idx.spans, idx.odd, true
 }
 
 // CountOverlapping counts rows overlapping [lo, hi] (odd-endpoint rows

@@ -64,8 +64,7 @@ type OverheadStat struct {
 // BatchQueryStat is one query's cell in the batched-execution
 // comparison: best-of-rounds latency under each mode, plus the warm
 // EXPLAIN ANALYZE evidence for the batched path — how many relation
-// loads the shared prepared plan served and how many joins took the
-// sweep-line algorithm during that statement.
+// loads the shared prepared plan served during that statement.
 type BatchQueryStat struct {
 	Query       string  `json:"query"`
 	BatchedNS   int64   `json:"batched_ns"`
@@ -73,16 +72,14 @@ type BatchQueryStat struct {
 	Speedup     float64 `json:"speedup"` // unbatched/batched, per query
 
 	PlanReuseHits int64 `json:"plan_reuse_hits"`
-	SweepJoins    int64 `json:"sweep_joins"`
 }
 
-// BatchStat quantifies the batched-execution features on one workload:
-// the MAX statement sequence measured with the shared prepared plan and
-// the sweep-line interval join enabled (the default) versus both
-// ablated. The methodology is MeasureOverhead's: modes interleave
-// within each round, each mode's total is the sum of per-query minima,
-// and a second batched pass (A/A) bounds the measurement noise so the
-// reported speedup can be read against it.
+// BatchStat quantifies batched execution on one workload: the MAX
+// statement sequence measured with the shared prepared plan enabled
+// (the default) versus ablated. The methodology is MeasureOverhead's:
+// modes interleave within each round, each mode's total is the sum of
+// per-query minima, and a second batched pass (A/A) bounds the
+// measurement noise so the reported speedup can be read against it.
 type BatchStat struct {
 	Workload string `json:"workload"`
 	Reps     int    `json:"reps"`
@@ -298,15 +295,14 @@ func (r *Runner) MeasureProcOverhead(contextDays, reps int) OverheadStat {
 }
 
 // MeasureBatch compares the MAX workload at one context length with
-// the batched-execution features (shared prepared plan + sweep-line
-// join) on versus off, using MeasureOverhead's interleaved per-query-
-// minimum methodology. A warm-up pass populates the translation cache
-// and the prepared plans first — the plan-once/execute-many scenario
-// the features target — then each round runs batched, batched again
-// (the A/A noise bound) and unbatched, alternating the order of the
-// two batched passes. After measurement, one EXPLAIN ANALYZE per query
-// records the warm batched path's plan-reuse hits and sweep-join
-// count.
+// the shared prepared plan on versus off, using MeasureOverhead's
+// interleaved per-query-minimum methodology. A warm-up pass populates
+// the translation cache and the prepared plans first — the
+// plan-once/execute-many scenario plan reuse targets — then each round
+// runs batched, batched again (the A/A noise bound) and unbatched,
+// alternating the order of the two batched passes. After measurement,
+// one EXPLAIN ANALYZE per query records the warm batched path's
+// plan-reuse hits.
 func (r *Runner) MeasureBatch(contextDays, reps int) BatchStat {
 	if reps < 1 {
 		reps = 1
@@ -317,7 +313,7 @@ func (r *Runner) MeasureBatch(contextDays, reps int) BatchStat {
 	}
 	eng := r.DB.Engine()
 	setBatched := func(on bool) {
-		eng.DisablePlanReuse, eng.DisableSweepJoin = !on, !on
+		eng.DisablePlanReuse = !on
 	}
 	setBatched(true)
 	r.runWorkload(contextDays) // warm-up: caches and prepared plans
@@ -376,7 +372,6 @@ func (r *Runner) MeasureBatch(contextDays, reps int) BatchStat {
 		r.DB.SetStrategy(taupsm.Max)
 		if e, err := r.DB.ExplainAnalyze(sequencedSQL(q, contextDays)); err == nil {
 			qs.PlanReuseHits = e.Analyzed.PlanReuseHits
-			qs.SweepJoins = e.Analyzed.SweepJoins
 		}
 		r.DB.SetStrategy(taupsm.Auto)
 		b.Queries = append(b.Queries, qs)
@@ -422,9 +417,9 @@ func (r *Runner) BuildObsReport(contexts []int, reps int) *ObsReport {
 		}
 	}
 	rep.Overhead = append(rep.Overhead, r.MeasureOverhead(30, reps))
-	// Batched-execution A/B: the one-month workload shows the prepared
-	// plan's reuse wins; the one-year workload additionally gives the
-	// cost model enough constant periods to choose the sweep-line join.
+	// Batched-execution A/B over the one-month and one-year workloads:
+	// the longer context slices each statement into more constant
+	// periods, so more fragments share one prepared plan.
 	rep.Batch = append(rep.Batch, r.MeasureBatch(30, reps), r.MeasureBatch(365, reps))
 	return rep
 }

@@ -50,9 +50,8 @@ func strategyEnabled(s taupsm.Strategy) bool {
 // NewRunner creates a database, generates the dataset, installs the
 // routines of every benchmark query, and ANALYZEs the stored tables so
 // the statistics registry carries interval distributions — the
-// executor's sweep-vs-probe join choice and the stratum's estimate
-// rows read them, exactly as a tuned production database would run
-// after bulk load.
+// stratum's estimate rows read them, exactly as a tuned production
+// database would run after bulk load.
 func NewRunner(spec Spec) (*Runner, error) {
 	db := taupsm.Open()
 	db.SetNow(2011, 1, 1) // mid-timeline "now" for current queries

@@ -258,7 +258,6 @@ type stratumMetrics struct {
 	engLogWrites      *obs.Counter
 	engIntervalProbes *obs.Counter
 	engPlanReuseHits  *obs.Counter
-	engSweepJoins     *obs.Counter
 }
 
 func newStratumMetrics(m *obs.Metrics) stratumMetrics {
@@ -301,7 +300,6 @@ func newStratumMetrics(m *obs.Metrics) stratumMetrics {
 		engLogWrites:      m.Counter("engine.log_writes_total"),
 		engIntervalProbes: m.Counter("engine.interval_probes_total"),
 		engPlanReuseHits:  m.Counter("engine.plan_reuse_hits_total"),
-		engSweepJoins:     m.Counter("engine.sweep_joins_total"),
 	}
 	for _, r := range []core.Reason{
 		core.ReasonNotTransformable, core.ReasonPerPeriodCursor,
@@ -698,13 +696,11 @@ func (db *DB) timedRun(st *stmtState, pr *proc.Process, t *core.Translation, ent
 	db.sm.engLogWrites.Add(delta.LogWrites)
 	db.sm.engIntervalProbes.Add(delta.IntervalProbes)
 	db.sm.engPlanReuseHits.Add(delta.PlanReuseHits)
-	db.sm.engSweepJoins.Add(delta.SweepJoins)
 	if st != nil {
 		st.executeDur = d
 		st.routineCalls = delta.RoutineCalls
 		st.rowsScanned = delta.RowsScanned
 		st.planHits = delta.PlanReuseHits
-		st.sweepJoins = delta.SweepJoins
 		if res != nil {
 			st.rows = len(res.Rows)
 			st.affected = res.Affected

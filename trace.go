@@ -156,12 +156,11 @@ type stmtState struct {
 	walFsyncs    int64
 	routineCalls int64
 	rowsScanned  int64
-	// planHits/sweepJoins are this statement's deltas (from the session
-	// journal, like routineCalls), not the prepared plan's lifetime
-	// totals — EXPLAIN ANALYZE must report per-statement figures even
-	// though the plan is shared across a batch.
-	planHits   int64
-	sweepJoins int64
+	// planHits is this statement's delta (from the session journal,
+	// like routineCalls), not the prepared plan's lifetime total —
+	// EXPLAIN ANALYZE must report per-statement figures even though the
+	// plan is shared across a batch.
+	planHits int64
 }
 
 // traced reports whether spans should be emitted.
