@@ -2,6 +2,7 @@ package taupsm
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strings"
 	"time"
 
@@ -22,7 +23,42 @@ const (
 	parseCacheCap       = 256
 	translationCacheCap = 256
 	cpCacheCap          = 1024
+	admissionCap        = 4096
 )
+
+// admission decides which statement texts the parse and translation
+// caches keep: a text is admitted on its second execution. Until then
+// only its 64-bit hash is remembered, in a set wiped wholesale at
+// admissionCap, so a stream of one-shot statements (every text of a
+// history scan is new) leaves no ASTs or translations pinned in the
+// caches. A hash collision merely admits a text one execution early.
+type admission struct {
+	seed maphash.Seed
+	seen map[uint64]struct{}
+}
+
+func newAdmission() admission {
+	return admission{seed: maphash.MakeSeed(), seen: map[uint64]struct{}{}}
+}
+
+// admit reports whether key was offered before, remembering it
+// otherwise.
+func (db *DB) admit(a *admission, key string) bool {
+	if key == "" {
+		return false
+	}
+	h := maphash.String(a.seed, key)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if _, ok := a.seen[h]; ok {
+		return true
+	}
+	if len(a.seen) >= admissionCap {
+		a.seen = map[uint64]struct{}{}
+	}
+	a.seen[h] = struct{}{}
+	return false
+}
 
 // tableStamp pins one table's identity and data version at cache-fill
 // time. A stamp matches while the same table object (same id — a
@@ -303,11 +339,10 @@ func (db *DB) peekCP(key string) bool {
 }
 
 // cachedParse returns the parsed statements for src, keeping a bounded
-// cache of parse results. Reusing the same AST pointers across
-// executions is what lets the engine's plan cache (keyed by node
-// identity) hit on repeated Query(src) calls; the ASTs are never
-// mutated downstream (the translator clones before rewriting and the
-// evaluator treats them as read-only).
+// cache of parse results for texts executed more than once (see
+// admission). The cached ASTs are shared by every later execution and
+// never mutated downstream (the translator clones before rewriting and
+// the evaluator treats them as read-only).
 func (db *DB) cachedParse(src string) ([]sqlast.Stmt, bool) {
 	db.mu.Lock()
 	stmts, ok := db.parseCache[src]
@@ -316,6 +351,9 @@ func (db *DB) cachedParse(src string) ([]sqlast.Stmt, bool) {
 }
 
 func (db *DB) storeParse(src string, stmts []sqlast.Stmt) {
+	if !db.admit(&db.parseSeen, src) {
+		return
+	}
 	db.mu.Lock()
 	if len(db.parseCache) >= parseCacheCap {
 		db.parseCache = map[string][]sqlast.Stmt{}

@@ -2,12 +2,27 @@ package taupsm
 
 import (
 	"testing"
+
+	"taupsm/internal/sqlparser"
 )
 
+// translationCached reports whether the translation cache holds a
+// valid entry for the single statement q.
+func translationCached(t *testing.T, db *DB, q string) bool {
+	t.Helper()
+	stmts, err := sqlparser.ParseScript(q)
+	if err != nil || len(stmts) != 1 {
+		t.Fatalf("parse %q: %v", q, err)
+	}
+	return db.lookupTranslation(db.translationKey(stmts[0])) != nil
+}
+
 // Repeated execution of the same sequenced statement hits the
-// translation and constant-period caches; DML on a referenced table
-// invalidates both (the constant periods and the Auto heuristic read
-// the rows), and DDL invalidates the translation cache.
+// translation and constant-period caches. The translation cache admits
+// a text on its second execution: no entry after the first run, an
+// entry after the second, a hit on the third. DML on a referenced
+// table invalidates both caches (the constant periods and the Auto
+// heuristic read the rows), and DDL invalidates the translation cache.
 func TestCachesHitAndInvalidate(t *testing.T) {
 	db := paperDB(t)
 	db.SetStrategy(Max)
@@ -21,28 +36,39 @@ func TestCachesHitAndInvalidate(t *testing.T) {
 		}
 	}
 
-	run() // cold: miss + fill
+	run() // cold: miss, text only remembered
 	if hits, misses := m.Value("stratum.cache.translation_hits_total"), m.Value("stratum.cache.translation_misses_total"); hits != 0 || misses != 1 {
 		t.Fatalf("after cold run: translation hits=%d misses=%d, want 0/1", hits, misses)
+	}
+	if translationCached(t, db, q) {
+		t.Fatal("translation cached after one run; admission is on the second")
 	}
 	if hits, misses := m.Value("stratum.cache.cp_hits_total"), m.Value("stratum.cache.cp_misses_total"); hits != 0 || misses != 1 {
 		t.Fatalf("after cold run: cp hits=%d misses=%d, want 0/1", hits, misses)
 	}
 
+	run() // second run: miss + fill
+	if hits, misses := m.Value("stratum.cache.translation_hits_total"), m.Value("stratum.cache.translation_misses_total"); hits != 0 || misses != 2 {
+		t.Fatalf("after second run: translation hits=%d misses=%d, want 0/2", hits, misses)
+	}
+	if !translationCached(t, db, q) {
+		t.Fatal("translation not cached after its second run")
+	}
+
 	run() // warm: both hit
-	run()
-	if hits := m.Value("stratum.cache.translation_hits_total"); hits != 2 {
-		t.Fatalf("translation hits = %d, want 2", hits)
+	if hits := m.Value("stratum.cache.translation_hits_total"); hits != 1 {
+		t.Fatalf("translation hits = %d, want 1", hits)
 	}
 	if hits := m.Value("stratum.cache.cp_hits_total"); hits != 2 {
 		t.Fatalf("cp hits = %d, want 2", hits)
 	}
 
-	// DML on the referenced table: both caches must recompute.
+	// DML on the referenced table: both caches must recompute. The text
+	// is already known, so the recomputed translation is cached at once.
 	db.MustExec(`NONSEQUENCED VALIDTIME INSERT INTO item VALUES ('i9', 'New', DATE '2010-02-01', DATE '2010-04-01')`)
 	run()
-	if misses := m.Value("stratum.cache.translation_misses_total"); misses != 2 {
-		t.Fatalf("translation misses after DML = %d, want 2", misses)
+	if misses := m.Value("stratum.cache.translation_misses_total"); misses != 3 {
+		t.Fatalf("translation misses after DML = %d, want 3", misses)
 	}
 	if misses := m.Value("stratum.cache.cp_misses_total"); misses != 2 {
 		t.Fatalf("cp misses after DML = %d, want 2", misses)
@@ -55,8 +81,8 @@ func TestCachesHitAndInvalidate(t *testing.T) {
 	// on the unchanged item table and stay cached too.
 	db.MustExec(`CREATE TABLE unrelated (x CHAR(5))`)
 	run()
-	if hits, misses := m.Value("stratum.cache.translation_hits_total"), m.Value("stratum.cache.translation_misses_total"); hits != 3 || misses != 2 {
-		t.Fatalf("after unrelated DDL: translation hits=%d misses=%d, want 3/2 (dep revalidation re-pins)", hits, misses)
+	if hits, misses := m.Value("stratum.cache.translation_hits_total"), m.Value("stratum.cache.translation_misses_total"); hits != 2 || misses != 3 {
+		t.Fatalf("after unrelated DDL: translation hits=%d misses=%d, want 2/3 (dep revalidation re-pins)", hits, misses)
 	}
 	if misses := m.Value("stratum.cache.cp_misses_total"); misses != 2 {
 		t.Fatalf("cp misses after DDL = %d, want 2 (stamps still valid)", misses)
@@ -66,8 +92,8 @@ func TestCachesHitAndInvalidate(t *testing.T) {
 	// keeps re-pinning as long as its own dependencies hold.
 	db.MustExec(`DROP TABLE unrelated`)
 	run()
-	if hits, misses := m.Value("stratum.cache.translation_hits_total"), m.Value("stratum.cache.translation_misses_total"); hits != 4 || misses != 2 {
-		t.Fatalf("after unrelated DROP: translation hits=%d misses=%d, want 4/2", hits, misses)
+	if hits, misses := m.Value("stratum.cache.translation_hits_total"), m.Value("stratum.cache.translation_misses_total"); hits != 3 || misses != 3 {
+		t.Fatalf("after unrelated DROP: translation hits=%d misses=%d, want 3/3", hits, misses)
 	}
 }
 
@@ -89,16 +115,23 @@ func TestTranslationCacheDepInvalidation(t *testing.T) {
 	}
 
 	run()
+	if translationCached(t, db, q) {
+		t.Fatal("translation cached after one run; admission is on the second")
+	}
 	run()
-	if hits, misses := m.Value("stratum.cache.translation_hits_total"), m.Value("stratum.cache.translation_misses_total"); hits != 1 || misses != 1 {
-		t.Fatalf("warmup: translation hits=%d misses=%d, want 1/1", hits, misses)
+	if !translationCached(t, db, q) {
+		t.Fatal("translation not cached after its second run")
+	}
+	run()
+	if hits, misses := m.Value("stratum.cache.translation_hits_total"), m.Value("stratum.cache.translation_misses_total"); hits != 1 || misses != 2 {
+		t.Fatalf("warmup: translation hits=%d misses=%d, want 1/2", hits, misses)
 	}
 
 	// Unrelated routine DDL: version bump, dependency set unchanged.
 	db.MustExec(`CREATE FUNCTION thrice (n INTEGER) RETURNS INTEGER RETURN n * 3`)
 	run()
-	if hits, misses := m.Value("stratum.cache.translation_hits_total"), m.Value("stratum.cache.translation_misses_total"); hits != 2 || misses != 1 {
-		t.Fatalf("after unrelated routine DDL: hits=%d misses=%d, want 2/1", hits, misses)
+	if hits, misses := m.Value("stratum.cache.translation_hits_total"), m.Value("stratum.cache.translation_misses_total"); hits != 2 || misses != 2 {
+		t.Fatalf("after unrelated routine DDL: hits=%d misses=%d, want 2/2", hits, misses)
 	}
 
 	// Redefining the called routine: the original name is in the
@@ -109,8 +142,8 @@ func TestTranslationCacheDepInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if misses := m.Value("stratum.cache.translation_misses_total"); misses != 2 {
-		t.Fatalf("translation misses after redefining twice = %d, want 2", misses)
+	if misses := m.Value("stratum.cache.translation_misses_total"); misses != 3 {
+		t.Fatalf("translation misses after redefining twice = %d, want 3", misses)
 	}
 	if len(res.Rows) == 0 || res.Rows[0][len(res.Rows[0])-1].String() != "6" {
 		t.Fatalf("redefined routine result = %v, want trailing column 6", res.Rows)
@@ -133,28 +166,43 @@ func TestMaxSlicingUsesIntervalIndex(t *testing.T) {
 }
 
 // The two strategies cache independently: the translation key includes
-// the strategy setting.
+// the strategy setting, so each strategy's entry is admitted on that
+// strategy's own second run.
 func TestTranslationCacheKeyedByStrategy(t *testing.T) {
 	db := paperDB(t)
 	m := db.Metrics()
 	const q = `VALIDTIME (DATE '2010-01-01', DATE '2011-01-01') SELECT title FROM item`
+	query := func(s Strategy) {
+		t.Helper()
+		db.SetStrategy(s)
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	db.SetStrategy(Max)
-	if _, err := db.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	db.SetStrategy(PerStatement)
-	if _, err := db.Query(q); err != nil {
-		t.Fatal(err)
-	}
+	query(Max)
+	query(PerStatement)
 	if misses := m.Value("stratum.cache.translation_misses_total"); misses != 2 {
 		t.Fatalf("translation misses = %d, want 2 (one per strategy)", misses)
 	}
-	db.SetStrategy(Max)
-	if _, err := db.Query(q); err != nil {
-		t.Fatal(err)
+	query(Max) // MAX's second run: admitted, not yet a hit
+	if hits := m.Value("stratum.cache.translation_hits_total"); hits != 0 {
+		t.Fatalf("translation hits = %d after MAX's second run, want 0", hits)
 	}
+	if !translationCached(t, db, q) {
+		t.Fatal("MAX translation not cached after its second run")
+	}
+	db.SetStrategy(PerStatement)
+	if translationCached(t, db, q) {
+		t.Fatal("PERST translation cached after one PERST run; the MAX runs must not count")
+	}
+	query(PerStatement) // PERST's second run: admitted
+	query(Max)
 	if hits := m.Value("stratum.cache.translation_hits_total"); hits != 1 {
 		t.Fatalf("translation hits = %d, want 1 (MAX entry still valid)", hits)
+	}
+	query(PerStatement)
+	if hits := m.Value("stratum.cache.translation_hits_total"); hits != 2 {
+		t.Fatalf("translation hits = %d, want 2 (PERST entry cached independently)", hits)
 	}
 }

@@ -655,3 +655,31 @@ CREATE VIEW v AS SELECT a FROM t;
 		t.Fatalf("drop not applied")
 	}
 }
+
+// A routine's accesses to non-temporal tables carry no dimension bits;
+// they must still reach the caller's summary, or a routine writing a
+// snapshot table would pass as write-free.
+func TestSummarizeRoutineKeepsSnapshotAccesses(t *testing.T) {
+	cat := testCatalog(t, testSchema+`
+CREATE FUNCTION tag_item (iid CHAR(10)) RETURNS INTEGER MODIFIES SQL DATA
+BEGIN
+  INSERT INTO item_author VALUES (iid, 'a0');
+  RETURN (SELECT COUNT(*) FROM item_author WHERE item_id = iid);
+END;
+CREATE FUNCTION wrap_tag (iid CHAR(10)) RETURNS INTEGER MODIFIES SQL DATA
+BEGIN
+  RETURN tag_item(iid);
+END;`)
+	for _, name := range []string{"tag_item", "wrap_tag"} {
+		sum := SummarizeRoutine(cat, name)
+		if _, ok := sum.Writes["item_author"]; !ok {
+			t.Errorf("%s: writes %v, want item_author", name, sum.WriteList())
+		}
+		if _, ok := sum.Reads["item_author"]; !ok {
+			t.Errorf("%s: reads %v, want item_author", name, sum.ReadList())
+		}
+		if sum.SharedWriteFree() {
+			t.Errorf("%s: SharedWriteFree with a snapshot-table write", name)
+		}
+	}
+}

@@ -120,15 +120,17 @@ func (s *Summary) merge(o *Summary) bool {
 		return false
 	}
 	grew := false
+	// A snapshot-table access has no dimension bits (d == 0), so
+	// presence in the map, not the bits, records it.
 	for k, d := range o.Reads {
-		if s.Reads[k]&d != d {
-			s.Reads[k] |= d
+		if have, ok := s.Reads[k]; !ok || have&d != d {
+			s.Reads[k] = have | d
 			grew = true
 		}
 	}
 	for k, d := range o.Writes {
-		if s.Writes[k]&d != d {
-			s.Writes[k] |= d
+		if have, ok := s.Writes[k]; !ok || have&d != d {
+			s.Writes[k] = have | d
 			grew = true
 		}
 	}

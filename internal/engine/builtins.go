@@ -17,7 +17,7 @@ func (db *DB) evalFuncCall(ctx *execCtx, fc *sqlast.FuncCall) (types.Value, erro
 		return types.Null, fmt.Errorf("aggregate %s used outside an aggregation context", fc.Name)
 	}
 	if r := db.Cat.Routine(fc.Name); r != nil && r.Kind == storage.KindFunction {
-		return db.callFunction(ctx, r, fc.Args)
+		return db.callFunction(ctx, r, fc.Args, false)
 	}
 	return db.evalBuiltin(ctx, fc)
 }

@@ -122,11 +122,8 @@ type DB struct {
 	// its per-statement work. Ablation switch.
 	DisablePlanReuse bool
 
-	// plans caches the analysis phase of SELECT evaluation, shared by
-	// all sessions of this database (see selPlan).
-	plans *planCache
-
-	// fnPure caches routine-purity verdicts, shared by all sessions.
+	// fnPure caches routine effect verdicts (see routineEffects),
+	// shared by all sessions.
 	fnPure *sync.Map
 
 	// Journal, when set on a session, collects the undo/redo records of
@@ -137,7 +134,8 @@ type DB struct {
 	// failed statement rolls back its partial writes.
 	Journal *Journal
 
-	// writeGen counts DML/DDL executed through this session; the
+	// writeGen counts the writes executed through this session that a
+	// memoized call could observe (see observableWrite); the
 	// function-result memo wipes itself when it changes.
 	writeGen int64
 }
@@ -150,7 +148,6 @@ func New() *DB {
 		Cat:          storage.NewCatalog(),
 		Now:          types.CivilToDays(now.Year(), int(now.Month()), now.Day()),
 		MaxRecursion: 64,
-		plans:        newPlanCache(),
 		fnPure:       &sync.Map{},
 	}
 }
@@ -181,7 +178,7 @@ func (db *DB) ExecScript(src string) (*Result, error) {
 
 // ExecStmt executes one (conventional) statement.
 func (db *DB) ExecStmt(stmt sqlast.Stmt) (*Result, error) {
-	ctx := &execCtx{db: db, memo: db.newFnMemo(), journal: db.Journal}
+	ctx := &execCtx{db: db, memo: db.newFnMemo(), journal: db.Journal, plans: &planCache{}}
 	return db.execTop(ctx, stmt)
 }
 
@@ -220,12 +217,7 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 		db.Proc.SetWALPending(int64(ctx.journal.Len()))
 	}
 	db.Stats.Statements++
-	switch stmt.(type) {
-	case *sqlast.InsertStmt, *sqlast.UpdateStmt, *sqlast.DeleteStmt,
-		*sqlast.CreateTableStmt, *sqlast.DropTableStmt,
-		*sqlast.CreateViewStmt, *sqlast.DropViewStmt,
-		*sqlast.AlterAddValidTime, *sqlast.CreateFunctionStmt,
-		*sqlast.CreateProcedureStmt, *sqlast.DropRoutineStmt:
+	if db.observableWrite(ctx, stmt) {
 		db.writeGen++
 	}
 	switch s := stmt.(type) {
@@ -326,7 +318,7 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 		if ctx.vars == nil {
 			// Anonymous block executed at top level.
 			if _, ok := stmt.(*sqlast.CompoundStmt); ok {
-				ctx2 := &execCtx{db: db, vars: newFrame(nil), memo: ctx.memo, journal: ctx.journal, prep: ctx.prep}
+				ctx2 := &execCtx{db: db, vars: newFrame(nil), memo: ctx.memo, journal: ctx.journal, prep: ctx.prep, plans: ctx.plans}
 				if err := db.execPSM(ctx2, stmt); err != nil {
 					return nil, err
 				}
@@ -340,6 +332,40 @@ func (db *DB) exec(ctx *execCtx, stmt sqlast.Stmt) (*Result, error) {
 		return &Result{}, nil
 	}
 	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+}
+
+// observableWrite reports whether stmt changes state that a memoized
+// call could read: a stored or session temporary table, a view, a
+// routine, or the schema. A memoized call runs in a fresh frame and
+// never takes a collection argument, so writes to the executing
+// frame's own collection variables and frame-local temporary tables —
+// the bulk of PERST temporal-variable maintenance — are invisible to
+// it and leave the memo intact.
+func (db *DB) observableWrite(ctx *execCtx, stmt sqlast.Stmt) bool {
+	frameBound := func(name string) bool {
+		return ctx.vars != nil && ctx.vars.getTable(name) != nil
+	}
+	switch s := stmt.(type) {
+	case *sqlast.InsertStmt:
+		return !frameBound(s.Table)
+	case *sqlast.UpdateStmt:
+		return !frameBound(s.Table)
+	case *sqlast.DeleteStmt:
+		return !frameBound(s.Table)
+	case *sqlast.CreateTableStmt:
+		return !(s.Temporary && ctx.depth > 0 && ctx.vars != nil)
+	case *sqlast.DropTableStmt:
+		if ctx.depth > 0 && ctx.vars != nil {
+			t := ctx.vars.getTable(s.Name)
+			return t == nil || !t.Temporary
+		}
+		return true
+	case *sqlast.CreateViewStmt, *sqlast.DropViewStmt,
+		*sqlast.AlterAddValidTime, *sqlast.CreateFunctionStmt,
+		*sqlast.CreateProcedureStmt, *sqlast.DropRoutineStmt:
+		return true
+	}
+	return false
 }
 
 func (db *DB) execCreateTable(ctx *execCtx, s *sqlast.CreateTableStmt) (*Result, error) {

@@ -582,3 +582,47 @@ func mustParseExpr(t *testing.T, src string) sqlastExpr {
 	}
 	return e
 }
+
+// Regression test: a table function inside an explicit JOIN kept rows
+// its WHERE conjuncts reject, on either side of the join, while the
+// comma form filtered them. Every form must return the one row.
+func TestTableFuncJoinKeepsWhereFilter(t *testing.T) {
+	db := New()
+	mustExec(t, db, `
+CREATE TABLE t (k INTEGER, v VARCHAR(10));
+INSERT INTO t VALUES (1, 'one'), (2, 'two');
+CREATE FUNCTION nums ()
+RETURNS ROW(n INTEGER) ARRAY
+LANGUAGE SQL
+BEGIN
+  DECLARE r ROW(n INTEGER) ARRAY;
+  INSERT INTO TABLE r VALUES (1), (2);
+  RETURN r;
+END`)
+	for _, q := range []string{
+		`SELECT f.n, t.v FROM TABLE(nums()) AS f JOIN t ON f.n = t.k WHERE f.n > 1`,
+		`SELECT f.n, t.v FROM t JOIN TABLE(nums()) AS f ON f.n = t.k WHERE f.n > 1`,
+		`SELECT f.n, t.v FROM TABLE(nums()) AS f, t WHERE f.n = t.k AND f.n > 1`,
+	} {
+		expectRows(t, mustExec(t, db, q), "2,two")
+	}
+}
+
+// A table function loaded as a source is scanned like a stored table,
+// including the hash-index path for an equality. Column aliases rename
+// the collection's columns by position, so the lookup must follow the
+// alias, not the collection's own column names.
+func TestTableFuncColumnAliasesIndexLookup(t *testing.T) {
+	db := New()
+	mustExec(t, db, `
+CREATE FUNCTION pairs ()
+RETURNS ROW(a INTEGER, b INTEGER) ARRAY
+LANGUAGE SQL
+BEGIN
+  DECLARE r ROW(a INTEGER, b INTEGER) ARRAY;
+  INSERT INTO TABLE r VALUES (1, 10), (2, 20);
+  RETURN r;
+END`)
+	res := mustExec(t, db, `SELECT f.a, f.b FROM TABLE(pairs()) AS f (b, a) WHERE f.a = 10`)
+	expectRows(t, res, "10,1")
+}

@@ -22,6 +22,7 @@ type execCtx struct {
 	memo    *fnMemoState  // per-statement function-result memo (nil = off)
 	journal *Journal      // undo/redo journal of the enclosing statement (nil = unjournaled)
 	prep    *Prepared     // shared prepared-plan caches of a fragment batch (nil = unprepared)
+	plans   *planCache    // SELECT plans of the owning statement or Prepared (nil = uncached)
 }
 
 // child returns a copy of ctx with a new scope pushed.

@@ -213,7 +213,8 @@ func (db *DB) inferQueryCols(ctx *execCtx, q sqlast.QueryExpr) ([]string, error)
 // applying pushdown filters (conjuncts referencing only this source's
 // aliases). It uses a hash-index lookup when an equality conjunct
 // compares a column with an expression that is constant w.r.t. this
-// query level.
+// query level. A table function is called once and its collection
+// scanned like a stored table.
 func (db *DB) loadSource(ctx *execCtx, ref sqlast.TableRef, metas []entryMeta, pushdown []*conjunct) (*rel, error) {
 	switch r := ref.(type) {
 	case *sqlast.BaseTable:
@@ -243,6 +244,15 @@ func (db *DB) loadSource(ctx *execCtx, ref sqlast.TableRef, metas []entryMeta, p
 			return nil, err
 		}
 		return db.resultToRel(ctx, res, metas[0], pushdown)
+	case *sqlast.TableFunc:
+		t, err := db.tableFunc(ctx, r, metas[0])
+		if err != nil {
+			return nil, err
+		}
+		if t == nil {
+			return &rel{metas: metas}, nil
+		}
+		return db.scanTable(ctx, t, metas[0], pushdown)
 	case *sqlast.JoinExpr:
 		return db.evalJoinRef(ctx, r, pushdown)
 	}
@@ -259,8 +269,10 @@ func (db *DB) resolveTable(ctx *execCtx, name string) *storage.Table {
 	return db.Cat.Table(name)
 }
 
-// scanTable filters a stored table by pushdown conjuncts, preferring a
-// hash-index path for an equality on a column.
+// scanTable filters a stored table (or a table-valued variable or
+// function result) by pushdown conjuncts, preferring a hash-index path
+// for an equality on a column. meta.cols name t's columns by position;
+// a table function's column aliases may rename them.
 func (db *DB) scanTable(ctx *execCtx, t *storage.Table, meta entryMeta, pushdown []*conjunct) (*rel, error) {
 	out := &rel{metas: []entryMeta{meta}, tab: t}
 	scope := &rowScope{parent: ctx.scope, entries: []scopeEntry{{alias: meta.alias, cols: meta.cols}}}
@@ -277,7 +289,13 @@ func (db *DB) scanTable(ctx *execCtx, t *storage.Table, meta entryMeta, pushdown
 		if col == "" {
 			continue
 		}
-		ord := t.Schema.Index(col)
+		ord := -1
+		for i, mc := range meta.cols {
+			if strings.EqualFold(mc, col) {
+				ord = i
+				break
+			}
+		}
 		if ord < 0 {
 			continue
 		}
@@ -505,11 +523,13 @@ func (db *DB) evalJoinRef(ctx *execCtx, j *sqlast.JoinExpr, pushdown []*conjunct
 			rpush = append(rpush, c)
 		}
 	}
-	left, err := db.loadOrLateral(ctx, j.L, lm, lpush)
+	// A table function inside a JOIN tree sees only the outer scope
+	// (it is not lateral to the join's left side).
+	left, err := db.loadSource(ctx, j.L, lm, lpush)
 	if err != nil {
 		return nil, err
 	}
-	right, err := db.loadOrLateral(ctx, j.R, rm, rpush)
+	right, err := db.loadSource(ctx, j.R, rm, rpush)
 	if err != nil {
 		return nil, err
 	}
@@ -564,27 +584,16 @@ func contains(cs []*conjunct, c *conjunct) bool {
 	return false
 }
 
-func (db *DB) loadOrLateral(ctx *execCtx, ref sqlast.TableRef, metas []entryMeta, pushdown []*conjunct) (*rel, error) {
-	if tf, ok := ref.(*sqlast.TableFunc); ok {
-		// A table function inside a JOIN tree is evaluated with only
-		// the outer scope (not lateral to the join's left side).
-		rows, err := db.tableFuncRows(ctx, tf, metas[0])
-		if err != nil {
-			return nil, err
-		}
-		out := &rel{metas: metas}
-		for _, r := range rows {
-			out.rows = append(out.rows, [][]types.Value{r})
-		}
-		return out, nil
+// tableFunc invokes a FROM-clause table function and returns its
+// collection, or nil for a NULL result. This is a FROM call site: a
+// write-free routine's result may be served from the statement memo
+// (fnmemo.go), so callers read the collection and never mutate it.
+func (db *DB) tableFunc(ctx *execCtx, tf *sqlast.TableFunc, meta entryMeta) (*storage.Table, error) {
+	r := db.Cat.Routine(tf.Call.Name)
+	if r == nil || r.Kind != storage.KindFunction {
+		return nil, fmt.Errorf("table function %s does not exist", tf.Call.Name)
 	}
-	return db.loadSource(ctx, ref, metas, pushdown)
-}
-
-// tableFuncRows invokes a collection-returning function and returns its
-// rows.
-func (db *DB) tableFuncRows(ctx *execCtx, tf *sqlast.TableFunc, meta entryMeta) ([][]types.Value, error) {
-	v, err := db.evalFuncCall(ctx, tf.Call)
+	v, err := db.callFunction(ctx, r, tf.Call.Args, true)
 	if err != nil {
 		return nil, err
 	}
@@ -602,7 +611,22 @@ func (db *DB) tableFuncRows(ctx *execCtx, tf *sqlast.TableFunc, meta entryMeta) 
 		return nil, fmt.Errorf("function %s returned %d columns, expected %d",
 			tf.Call.Name, len(t.Schema.Cols), len(meta.cols))
 	}
-	return t.Rows, nil
+	return t, nil
+}
+
+// correlatedCall reports whether a FROM-clause table function must be
+// called once per row accumulated from the earlier FROM items (prior):
+// an argument references one of them, or contains a subquery or a
+// stored-routine call. Any other table function is an ordinary source,
+// loaded once.
+func (db *DB) correlatedCall(tf *sqlast.TableFunc, prior []entryMeta) bool {
+	for _, a := range tf.Call.Args {
+		aliases, _, hasSub, unresolved := refsOf(a, prior)
+		if len(aliases) > 0 || hasSub || unresolved || db.callsRoutine(a) {
+			return true
+		}
+	}
+	return false
 }
 
 // joinRels joins two relations on the given conjuncts, hash-joining on

@@ -326,45 +326,20 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 		combinedMetas := append(append([]entryMeta{}, acc.metas...), ms...)
 
 		if tf, ok := fr.(*sqlast.TableFunc); ok {
-			// Lateral: evaluate per accumulated row.
-			next := &rel{metas: combinedMetas}
-			var applicable []*conjunct
-			for _, c := range conjuncts {
-				if !used[c] && c.subsetOf(combinedMetas) && !c.hasSub {
-					applicable = append(applicable, c)
-					used[c] = true
-				}
+			if len(acc.metas) > 0 && len(acc.rows) == 0 {
+				// Nothing to pair the function's rows with: skip the
+				// call, as the per-row evaluation below would.
+				acc = &rel{metas: combinedMetas}
+				continue
 			}
-			db.orderByCost(applicable)
-			for _, arow := range acc.rows {
-				scope := bindScope(ctx.scope, acc.metas, arow)
-				lctx := ctx.withScope(scope)
-				rows, err := db.tableFuncRows(lctx, tf, ms[0])
-				if err != nil {
+			if plan.correlated[i] {
+				if acc, err = db.lateralTableFunc(ctx, tf, acc, ms, conjuncts, used); err != nil {
 					return nil, err
 				}
-				for _, frow := range rows {
-					combined := append(append([][]types.Value{}, arow...), frow)
-					cscope := bindScope(ctx.scope, combinedMetas, combined)
-					cctx := ctx.withScope(cscope)
-					keep := true
-					for _, c := range applicable {
-						v, err := db.evalExpr(cctx, c.expr)
-						if err != nil {
-							return nil, err
-						}
-						if types.TriboolFromValue(v) != types.True {
-							keep = false
-							break
-						}
-					}
-					if keep {
-						next.rows = append(next.rows, combined)
-					}
-				}
+				continue
 			}
-			acc = next
-			continue
+			// Otherwise the function is an ordinary source: called once,
+			// scanned with pushdown, and joined below.
 		}
 
 		// Pushdown: conjuncts referencing only this source.
@@ -439,6 +414,54 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 		return db.evalGrouped(ctx, sel, acc, aggs)
 	}
 	return db.project(ctx, sel, acc, limitHint)
+}
+
+// lateralTableFunc joins acc with a correlated table function, calling
+// it once per accumulated row with that row in scope. Repeated
+// argument vectors of a write-free routine are answered from the
+// statement memo (fnmemo.go). Conjuncts that become applicable once the
+// function's columns are bound filter each combined row and are marked
+// used.
+func (db *DB) lateralTableFunc(ctx *execCtx, tf *sqlast.TableFunc, acc *rel, ms []entryMeta, conjuncts []*conjunct, used map[*conjunct]bool) (*rel, error) {
+	combinedMetas := append(append([]entryMeta{}, acc.metas...), ms...)
+	next := &rel{metas: combinedMetas}
+	var applicable []*conjunct
+	for _, c := range conjuncts {
+		if !used[c] && c.subsetOf(combinedMetas) && !c.hasSub {
+			applicable = append(applicable, c)
+			used[c] = true
+		}
+	}
+	db.orderByCost(applicable)
+	for _, arow := range acc.rows {
+		scope := bindScope(ctx.scope, acc.metas, arow)
+		t, err := db.tableFunc(ctx.withScope(scope), tf, ms[0])
+		if err != nil {
+			return nil, err
+		}
+		if t == nil {
+			continue
+		}
+		for _, frow := range t.Rows {
+			combined := append(append([][]types.Value{}, arow...), frow)
+			cctx := ctx.withScope(bindScope(ctx.scope, combinedMetas, combined))
+			keep := true
+			for _, c := range applicable {
+				v, err := db.evalExpr(cctx, c.expr)
+				if err != nil {
+					return nil, err
+				}
+				if types.TriboolFromValue(v) != types.True {
+					keep = false
+					break
+				}
+			}
+			if keep {
+				next.rows = append(next.rows, combined)
+			}
+		}
+	}
+	return next, nil
 }
 
 func itemName(it sqlast.SelectItem, i int) string {

@@ -13,15 +13,33 @@ import (
 // The slicing strategies of the stratum invoke stored functions once
 // per (tuple, constant period), and the argument vectors repeat
 // heavily — every tuple of one period shares the period's begin time,
-// and foreign keys repeat across tuples. When a function is pure
-// (reads SQL data but never writes it), two invocations with equal
-// arguments must return equal results, so the engine keeps a
-// per-statement memo of (function, arguments) → result.
+// and foreign keys repeat across tuples. When a function cannot change
+// what it reads, two invocations with equal arguments must return
+// equal results, so the engine keeps a per-statement memo of
+// (function, arguments) → result. Two kinds of result are kept:
+//
+//   - Scalar results of pure routines (check.Pure), for any call site.
+//   - Collection results of write-free routines
+//     (check.Summary.SharedWriteFree), for FROM-clause table-function
+//     call sites only. Those sites read the collection and never
+//     mutate it; a scalar site could bind it to a variable and INSERT
+//     into it, so it never gets a shared collection. This is what
+//     answers a correlated PERST call TABLE(ps_f(x, period_begin,
+//     period_end)) once per distinct x instead of once per outer row.
+//     A table function whose arguments reference no earlier FROM item
+//     needs no memo within one SELECT (evalSelect loads it once like
+//     any other source); the memo serves repeated evaluations of that
+//     SELECT within the statement.
 //
 // Scope and invalidation: the memo lives for one top-level statement
-// (each statement starts with a fresh fnMemoState), and any DML or DDL
-// executed during the statement bumps the session's write generation,
-// wiping it. Memo hits still count as RoutineCalls — they are logical
+// (each statement starts with a fresh fnMemoState), and it is wiped
+// whenever the session's write generation moves. The generation moves
+// only on writes a memoized call can observe — stored tables, session
+// temporary tables, views, routines and other DDL (observableWrite).
+// A memoized call runs in a fresh frame and takes no collection
+// argument, so writes to a routine frame's own collection variables
+// and frame-local temporary tables cannot reach it and leave the memo
+// intact. Memo hits still count as RoutineCalls — they are logical
 // invocations, and the strategy call-count asymmetry the stats exist
 // to demonstrate must stay observable — and are additionally counted
 // in RoutineMemoHits. Detailed mode (a tracer) bypasses the memo so
@@ -60,10 +78,18 @@ func (ms *fnMemoState) store(db *DB, key string, v types.Value) {
 }
 
 // memoKey builds the memo key for a call, or "" when the call is not
-// memoizable (impure routine, or a table-valued argument, whose
-// contents the key cannot capture).
-func (db *DB) memoKey(r *storage.Routine, args []types.Value) string {
-	if r.Fn == nil || r.Fn.Returns.IsCollection() || !db.routinePure(r) {
+// memoizable: a scalar result needs a pure routine, a collection
+// result a write-free routine and a FROM call site (fromSite), and no
+// argument may be table-valued (the key cannot capture its contents).
+func (db *DB) memoKey(r *storage.Routine, args []types.Value, fromSite bool) string {
+	if r.Fn == nil {
+		return ""
+	}
+	if r.Fn.Returns.IsCollection() {
+		if !fromSite || !db.routineEffects(r).writeFree {
+			return ""
+		}
+	} else if !db.routineEffects(r).pure {
 		return ""
 	}
 	var b strings.Builder
@@ -78,15 +104,16 @@ func (db *DB) memoKey(r *storage.Routine, args []types.Value) string {
 	return b.String()
 }
 
-// purity is one routinePure verdict. The persistent catalog version is
-// a fast-path stamp; on mismatch the verdict revalidates against its
-// dependency set — the routines and table names the effect analysis
-// consulted — and re-pins if none changed.
+// purity is one routine's cached effect verdicts. The persistent
+// catalog version is a fast-path stamp; on mismatch the verdicts
+// revalidate against their dependency set — the routines and table
+// names the effect analysis consulted — and re-pin if none changed.
 type purity struct {
-	catV     int64
-	pure     bool
-	routines map[string]*storage.Routine // consulted routine -> identity at analysis
-	tables   map[string]bool             // consulted table name -> existed
+	catV      int64
+	pure      bool                        // check.Pure
+	writeFree bool                        // check.Summary.SharedWriteFree
+	routines  map[string]*storage.Routine // consulted routine -> identity at analysis
+	tables    map[string]bool             // consulted table name -> existed
 }
 
 // depsValid reports whether the recorded dependency set still resolves
@@ -121,38 +148,42 @@ func (db *DB) analysisDeps(sum *check.Summary) (map[string]*storage.Routine, map
 	return routines, tables
 }
 
-// routinePure reports whether a routine is free of SQL side effects:
-// no DML against stored tables, no DDL, and only pure routines called,
-// transitively. The verdict itself comes from the static analyzer
-// (check.Pure), the single source of truth for effect inference.
-// Verdicts are cached by lowercased routine name with two-level
-// invalidation: a matching persistent catalog version accepts
-// immediately, and a mismatched one falls back to the verdict's
-// inferred dependency set (the routines and tables the analysis
-// consulted) — unrelated DDL re-pins the verdict instead of
-// recomputing it, while redefining the routine or any callee misses
+// routineEffects returns a routine's effect verdicts. pure means free
+// of SQL side effects: no DML against stored tables, no DDL, and only
+// pure routines called, transitively (check.Pure). writeFree means no
+// stored-table write and no DDL, with effects confined to collection
+// variables and frame-local temporary tables (SharedWriteFree of the
+// routine's summary). The static analyzer is the single source of
+// truth for both. Verdicts are cached by lowercased routine name with
+// two-level invalidation: a matching persistent catalog version
+// accepts immediately, and a mismatched one falls back to the
+// verdicts' inferred dependency set (the routines and tables the
+// analysis consulted) — unrelated DDL re-pins the verdicts instead of
+// recomputing them, while redefining the routine or any callee misses
 // both levels (CREATE OR REPLACE installs a new *storage.Routine).
 // The cache is a sync.Map because parallel fragment workers share it
 // through their session handles.
-func (db *DB) routinePure(r *storage.Routine) bool {
+func (db *DB) routineEffects(r *storage.Routine) purity {
 	catV := db.Cat.PersistentVersion()
 	key := strings.ToLower(r.Name)
 	if v, ok := db.fnPure.Load(key); ok {
 		p := v.(purity)
 		if p.catV == catV {
-			return p.pure
+			return p
 		}
 		if db.depsValid(p.routines, p.tables) {
 			p.catV = catV
 			db.fnPure.Store(key, p)
-			return p.pure
+			return p
 		}
 	}
 	cat := check.FromStorage(db.Cat)
-	pure := check.Pure(cat, r.Name)
-	routines, tables := db.analysisDeps(check.SummarizeRoutine(cat, r.Name))
-	db.fnPure.Store(key, purity{catV: catV, pure: pure, routines: routines, tables: tables})
-	return pure
+	sum := check.SummarizeRoutine(cat, r.Name)
+	routines, tables := db.analysisDeps(sum)
+	p := purity{catV: catV, pure: check.Pure(cat, r.Name), writeFree: sum.SharedWriteFree(),
+		routines: routines, tables: tables}
+	db.fnPure.Store(key, p)
+	return p
 }
 
 // RoutinePure reports whether the named stored routine is free of SQL
@@ -162,5 +193,5 @@ func (db *DB) RoutinePure(name string) bool {
 	if r == nil {
 		return false
 	}
-	return db.routinePure(r)
+	return db.routineEffects(r).pure
 }

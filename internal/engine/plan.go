@@ -35,6 +35,10 @@ type selPlan struct {
 	srcMetas   [][]entryMeta
 	allMetas   []entryMeta
 	conjuncts  []*conjunct
+	// correlated[i] marks a FROM-clause table function that must run
+	// once per accumulated row (see correlatedCall); every other FROM
+	// item, table functions included, is loaded once.
+	correlated []bool
 	varTables  map[string][]string    // lower var name -> column names at build
 	catTables  map[string]catResolved // lower name -> catalog resolution at build
 }
@@ -55,19 +59,16 @@ type planRecorder struct {
 	catTables map[string]catResolved
 }
 
-// planCache maps SELECT nodes (by identity) to their plans. Entries
-// are never deleted individually — staleness is detected by selPlan
-// validation — but the whole cache is wiped when it outgrows
-// planCacheCap, bounding memory when many one-shot statements flow
-// through (warm statements simply rebuild their plans once).
+// planCache maps SELECT nodes (by identity) to their plans for the
+// lifetime of one owner: the Prepared of a cached translation (shared
+// by its worker sessions and by every execution of the statement), or
+// else the single top-level statement being executed. A plan therefore
+// lives only as long as the statement that owns it; nothing global
+// keeps one-shot ASTs alive. Entries are never deleted individually —
+// staleness is detected by selPlan validation.
 type planCache struct {
 	m sync.Map // *sqlast.SelectStmt -> *selPlan
-	n atomic.Int64
 }
-
-const planCacheCap = 8192
-
-func newPlanCache() *planCache { return &planCache{} }
 
 func (pc *planCache) get(sel *sqlast.SelectStmt) *selPlan {
 	if v, ok := pc.m.Load(sel); ok {
@@ -76,17 +77,7 @@ func (pc *planCache) get(sel *sqlast.SelectStmt) *selPlan {
 	return nil
 }
 
-func (pc *planCache) put(sel *sqlast.SelectStmt, p *selPlan) {
-	if _, loaded := pc.m.Swap(sel, p); !loaded {
-		if pc.n.Add(1) > planCacheCap {
-			pc.m.Range(func(k, _ any) bool {
-				pc.m.Delete(k)
-				return true
-			})
-			pc.n.Store(0)
-		}
-	}
-}
+func (pc *planCache) put(sel *sqlast.SelectStmt, p *selPlan) { pc.m.Store(sel, p) }
 
 // valid reports whether the plan's name resolution still holds in ctx.
 // On a persistent-version mismatch the recorded resolutions are
@@ -158,17 +149,21 @@ func sameCols(got, want []string) bool {
 	return true
 }
 
-// selPlanFor returns the plan for sel, building (and caching) it when
-// missing or stale.
+// selPlanFor returns the plan for sel, building (and caching it in the
+// statement's plan cache, when there is one) when missing or stale.
 func (db *DB) selPlanFor(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, error) {
-	if p := db.plans.get(sel); p != nil && p.valid(db, ctx) {
-		return p, nil
+	if ctx.plans != nil {
+		if p := ctx.plans.get(sel); p != nil && p.valid(db, ctx) {
+			return p, nil
+		}
 	}
 	p, err := db.buildSelPlan(ctx, sel)
 	if err != nil {
 		return nil, err
 	}
-	db.plans.put(sel, p)
+	if ctx.plans != nil {
+		ctx.plans.put(sel, p)
+	}
 	return p, nil
 }
 
@@ -187,21 +182,26 @@ func (db *DB) buildSelPlan(ctx *execCtx, sel *sqlast.SelectStmt) (*selPlan, erro
 
 	var allMetas []entryMeta
 	srcMetas := make([][]entryMeta, len(sel.From))
+	correlated := make([]bool, len(sel.From))
 	for i, fr := range sel.From {
 		ms, err := db.sourceMetas(&rctx, fr)
 		if err != nil {
 			return nil, err
 		}
 		srcMetas[i] = ms
+		if tf, ok := fr.(*sqlast.TableFunc); ok {
+			correlated[i] = db.correlatedCall(tf, allMetas)
+		}
 		allMetas = append(allMetas, ms...)
 	}
 	conjuncts := db.splitConjuncts(sel.Where, allMetas)
 	p := &selPlan{
-		srcMetas:  srcMetas,
-		allMetas:  allMetas,
-		conjuncts: conjuncts,
-		varTables: rec.varTables,
-		catTables: rec.catTables,
+		srcMetas:   srcMetas,
+		allMetas:   allMetas,
+		conjuncts:  conjuncts,
+		correlated: correlated,
+		varTables:  rec.varTables,
+		catTables:  rec.catTables,
 	}
 	p.catVersion.Store(catVersion)
 	return p, nil

@@ -28,9 +28,14 @@ import (
 // every consult. A mid-batch DML bumps the table version and the next
 // consult rebuilds. Entries are immutable once published; the mutex
 // only guards the maps.
+//
+// A Prepared also owns the SELECT plans (see selPlan) of the
+// statements executed under it, so they live exactly as long as the
+// cached translation does.
 type Prepared struct {
-	mu   sync.Mutex
-	rels map[*sqlast.BaseTable]*prepRel
+	mu    sync.Mutex
+	rels  map[*sqlast.BaseTable]*prepRel
+	plans planCache
 }
 
 // NewPrepared returns an empty prepared-plan cache.

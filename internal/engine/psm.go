@@ -270,8 +270,10 @@ func handlerMatches(handlerCond string, cond *conditionErr) bool {
 // ---------- routine invocation ----------
 
 // callFunction invokes a stored function with the given argument
-// expressions (evaluated in the caller's context).
-func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.Expr) (types.Value, error) {
+// expressions (evaluated in the caller's context). fromSite marks a
+// FROM-clause table-function call site, the only kind that may share
+// a memoized collection result (see fnmemo.go).
+func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.Expr, fromSite bool) (types.Value, error) {
 	params := r.Params()
 	if len(argExprs) != len(params) {
 		return types.Null, fmt.Errorf("function %s expects %d arguments, got %d", r.Name, len(params), len(argExprs))
@@ -289,7 +291,7 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 	}
 	var memoKey string
 	if ctx.memo != nil {
-		if memoKey = db.memoKey(r, args); memoKey != "" {
+		if memoKey = db.memoKey(r, args, fromSite); memoKey != "" {
 			if v, ok := ctx.memo.lookup(db, memoKey); ok {
 				// A memo hit is still a logical invocation — see fnmemo.go.
 				db.noteRoutineCall(r.Name)
@@ -322,13 +324,16 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 	if done := db.traceRoutine(r.Name); done != nil {
 		defer done()
 	}
-	fctx := &execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal, prep: ctx.prep}
+	fctx := &execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal, prep: ctx.prep, plans: ctx.plans}
 	err := db.execPSM(fctx, r.Body())
 	if err == nil {
 		return types.Null, fmt.Errorf("function %s ended without RETURN", r.Name)
 	}
 	if rs, ok := err.(returnSignal); ok {
 		if r.Fn.Returns.IsCollection() || rs.val.Kind == types.KindTable {
+			if memoKey != "" && r.Fn.Returns.IsCollection() {
+				ctx.memo.store(db, memoKey, rs.val)
+			}
 			return rs.val, nil
 		}
 		cv, cerr := coerce(rs.val, r.Fn.Returns)
@@ -421,7 +426,7 @@ func (db *DB) execCall(ctx *execCtx, s *sqlast.CallStmt) (*Result, error) {
 	if done := db.traceRoutine(s.Name); done != nil {
 		defer done()
 	}
-	pctx := &execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal, prep: ctx.prep}
+	pctx := &execCtx{db: db, vars: frame, depth: ctx.depth + 1, memo: ctx.memo, journal: ctx.journal, prep: ctx.prep, plans: ctx.plans}
 	err := db.execPSM(pctx, r.Body())
 	if err != nil {
 		if _, ok := err.(returnSignal); !ok {

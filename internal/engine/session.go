@@ -8,7 +8,7 @@ import (
 )
 
 // NewSession returns an evaluation session: a DB handle sharing this
-// database's catalog, plan cache, configuration, clock, and tracer,
+// database's catalog, configuration, clock, and tracer,
 // but with its own zeroed Stats. Sessions make the read path
 // re-entrant — any number of sessions may evaluate queries
 // concurrently over the shared catalog (writers still need exclusive
@@ -46,7 +46,7 @@ func (db *DB) ExecStmtWithTables(stmt sqlast.Stmt, tables map[string]*storage.Ta
 	for name, t := range tables {
 		frame.setTableVar(strings.ToLower(name), t)
 	}
-	ctx := &execCtx{db: db, vars: frame, memo: db.newFnMemo(), journal: db.Journal}
+	ctx := &execCtx{db: db, vars: frame, memo: db.newFnMemo(), journal: db.Journal, plans: &planCache{}}
 	return db.execTop(ctx, stmt)
 }
 
@@ -63,6 +63,9 @@ func (db *DB) ExecPreparedWithTables(p *Prepared, stmt sqlast.Stmt, tables map[s
 	for name, t := range tables {
 		frame.setTableVar(strings.ToLower(name), t)
 	}
-	ctx := &execCtx{db: db, vars: frame, memo: db.newFnMemo(), journal: db.Journal, prep: p}
+	ctx := &execCtx{db: db, vars: frame, memo: db.newFnMemo(), journal: db.Journal, prep: p, plans: &planCache{}}
+	if p != nil {
+		ctx.plans = &p.plans
+	}
 	return db.execTop(ctx, stmt)
 }

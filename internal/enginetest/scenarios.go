@@ -171,4 +171,73 @@ var Scenarios = []Scenario{
 			{Query: `SELECT title FROM position`, Expect: []string{"engineer"}},
 		},
 	},
+	{
+		// Routine calls that PERST turns into FROM-clause table
+		// functions: authors_in('Japan') has a constant argument vector
+		// (loaded once, like any source), author_name(ia.author_id) is
+		// correlated with the outer row (executed once per distinct
+		// author, repeats served from the statement memo). MAX evaluates
+		// both as scalar calls per constant period, so cross-axis row
+		// agreement checks the table-function paths against it.
+		Name: "table-function-calls",
+		Now:  Clock{2011, 1, 1},
+		Setup: []Step{
+			{Exec: `CREATE TABLE author (author_id CHAR(4), name CHAR(20), country CHAR(10)) AS VALIDTIME`},
+			{Exec: `CREATE TABLE item_author (item_id CHAR(4), author_id CHAR(4)) AS VALIDTIME`},
+			{Exec: `NONSEQUENCED VALIDTIME INSERT INTO author VALUES
+				('a1', 'Ben', 'UK', DATE '2010-01-01', DATE '2010-07-01'),
+				('a1', 'Benjamin', 'UK', DATE '2010-07-01', DATE '9999-12-31'),
+				('a2', 'Amy', 'Japan', DATE '2010-01-01', DATE '9999-12-31'),
+				('a3', 'Cy', 'Japan', DATE '2010-03-01', DATE '2010-09-01')`},
+			{Exec: `NONSEQUENCED VALIDTIME INSERT INTO item_author VALUES
+				('i1', 'a1', DATE '2010-01-01', DATE '9999-12-31'),
+				('i2', 'a1', DATE '2010-01-01', DATE '9999-12-31'),
+				('i3', 'a2', DATE '2010-01-01', DATE '9999-12-31'),
+				('i4', 'a3', DATE '2010-03-01', DATE '2010-09-01')`},
+			{Exec: `CREATE FUNCTION author_name (aid CHAR(4)) RETURNS CHAR(20) READS SQL DATA LANGUAGE SQL
+				BEGIN
+				  DECLARE nm CHAR(20);
+				  SET nm = (SELECT name FROM author WHERE author_id = aid);
+				  RETURN nm;
+				END`},
+			{Exec: `CREATE FUNCTION authors_in (cty CHAR(10)) RETURNS INTEGER READS SQL DATA LANGUAGE SQL
+				BEGIN
+				  DECLARE done INTEGER DEFAULT 0;
+				  DECLARE n INTEGER DEFAULT 0;
+				  DECLARE nm CHAR(20) DEFAULT '';
+				  DECLARE cur CURSOR FOR SELECT name FROM author WHERE country = cty;
+				  DECLARE CONTINUE HANDLER FOR NOT FOUND SET done = 1;
+				  OPEN cur;
+				  lp: LOOP
+				    FETCH cur INTO nm;
+				    IF done = 1 THEN
+				      LEAVE lp;
+				    END IF;
+				    SET n = n + 1;
+				  END LOOP lp;
+				  CLOSE cur;
+				  RETURN n;
+				END`},
+		},
+		Steps: []Step{
+			{Query: `VALIDTIME (DATE '2010-01-01', DATE '2011-01-01') SELECT ia.item_id, author_name(ia.author_id) FROM item_author ia`,
+				Coalesce: true,
+				Expect: []string{
+					"2010-01-01|2010-07-01|i1|Ben",
+					"2010-07-01|2011-01-01|i1|Benjamin",
+					"2010-01-01|2010-07-01|i2|Ben",
+					"2010-07-01|2011-01-01|i2|Benjamin",
+					"2010-01-01|2011-01-01|i3|Amy",
+					"2010-03-01|2010-09-01|i4|Cy",
+				}},
+			{Query: `VALIDTIME (DATE '2010-01-01', DATE '2011-01-01') SELECT ia.item_id FROM item_author ia WHERE authors_in('Japan') > 1`,
+				Coalesce: true,
+				Expect: []string{
+					"2010-03-01|2010-09-01|i1",
+					"2010-03-01|2010-09-01|i2",
+					"2010-03-01|2010-09-01|i3",
+					"2010-03-01|2010-09-01|i4",
+				}},
+		},
+	},
 }

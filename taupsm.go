@@ -121,6 +121,10 @@ type DB struct {
 	parseCache map[string][]sqlast.Stmt
 	tcache     map[string]*translationEntry
 	cpcache    map[string]*cpEntry
+	// parseSeen and transSeen admit a text to parseCache and tcache on
+	// its second execution (see admission).
+	parseSeen admission
+	transSeen admission
 	// lintCache keyed by statement text serves repeated static analysis
 	// (EXPLAIN's lint section, re-executed statements) for one catalog
 	// version; any catalog-shape change wipes it wholesale.
@@ -160,6 +164,8 @@ func newDB(eng *engine.DB, metrics *obs.Metrics) *DB {
 		par:        runtime.GOMAXPROCS(0),
 		parseCache: map[string][]sqlast.Stmt{},
 		tcache:     map[string]*translationEntry{},
+		parseSeen:  newAdmission(),
+		transSeen:  newAdmission(),
 		cpcache:    map[string]*cpEntry{},
 		lintCache:  map[string][]Diagnostic{},
 		ring:       obs.NewRing(0),
@@ -624,6 +630,12 @@ func (db *DB) cachedTranslate(st *stmtState, stmt sqlast.Stmt) (*core.Translatio
 		return ent.t, ent, nil
 	}
 	db.sm.transMisses.Inc()
+	if !db.admit(&db.transSeen, key) {
+		// First execution of this text: translate without an entry, so
+		// a one-shot statement pins nothing in the cache.
+		t, err := db.translateStmt(stmt)
+		return t, nil, err
+	}
 	catV := db.eng.Cat.PersistentVersion()
 	t, err := db.translateStmt(stmt)
 	if err != nil || t == nil {
