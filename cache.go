@@ -16,22 +16,29 @@ import (
 	"taupsm/internal/types"
 )
 
-// Cache sizes. The caches are wiped wholesale when they outgrow their
-// cap — staleness is handled by validation, the caps only bound memory
-// when many one-shot statements flow through.
+// The stratum keeps two caches on the read path: translations of
+// sequenced statements, keyed by rendered text and strategy, and
+// constant-period relations, keyed by context and table set. Neither is
+// ever invalidated by DDL or DML hooks; each entry carries a
+// storage.Pin — how the names it depends on resolved when it was built
+// — and is served only while the pin still holds. The engine's SELECT
+// plans, prepared source relations and routine effect verdicts are
+// validated by the same pin type, so one rule answers "does this name
+// still resolve to what it did when I cached?" everywhere. The caps
+// below only bound memory when many one-shot statements flow through:
+// a cache over its cap is wiped wholesale.
 const (
-	parseCacheCap       = 256
 	translationCacheCap = 256
 	cpCacheCap          = 1024
 	admissionCap        = 4096
 )
 
-// admission decides which statement texts the parse and translation
-// caches keep: a text is admitted on its second execution. Until then
-// only its 64-bit hash is remembered, in a set wiped wholesale at
-// admissionCap, so a stream of one-shot statements (every text of a
-// history scan is new) leaves no ASTs or translations pinned in the
-// caches. A hash collision merely admits a text one execution early.
+// admission decides which statement texts the translation cache keeps:
+// a text is admitted on its second execution. Until then only its
+// 64-bit hash is remembered, in a set wiped wholesale at admissionCap,
+// so a stream of one-shot statements (every text of a history scan is
+// new) leaves no translations pinned in the cache. A hash collision
+// merely admits a text one execution early.
 type admission struct {
 	seed maphash.Seed
 	seen map[uint64]struct{}
@@ -43,10 +50,11 @@ func newAdmission() admission {
 
 // admit reports whether key was offered before, remembering it
 // otherwise.
-func (db *DB) admit(a *admission, key string) bool {
+func (db *DB) admit(key string) bool {
 	if key == "" {
 		return false
 	}
+	a := &db.transSeen
 	h := maphash.String(a.seed, key)
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -60,101 +68,47 @@ func (db *DB) admit(a *admission, key string) bool {
 	return false
 }
 
-// tableStamp pins one table's identity and data version at cache-fill
-// time. A stamp matches while the same table object (same id — a
-// DROP/CREATE cycle changes it) holds the same row data (version —
-// every DML bumps it). A stamp of a then-missing table matches while
-// the table is still missing.
-type tableStamp struct {
-	name    string
-	id      int64
-	version int64
-}
-
-// tableStamps captures stamps for the named catalog tables.
-func (db *DB) tableStamps(tables []string) []tableStamp {
-	out := make([]tableStamp, 0, len(tables))
-	for _, name := range tables {
-		if t := db.eng.Cat.Table(name); t != nil {
-			out = append(out, tableStamp{name: name, id: t.ID(), version: t.Version()})
-		} else {
-			out = append(out, tableStamp{name: name, id: -1, version: -1})
-		}
-	}
-	return out
-}
-
-func (db *DB) stampsValid(stamps []tableStamp) bool {
-	for _, s := range stamps {
-		t := db.eng.Cat.Table(s.name)
-		if t == nil {
-			if s.id != -1 {
-				return false
-			}
-			continue
-		}
-		if t.ID() != s.id || t.Version() != s.version {
-			return false
-		}
-	}
-	return true
-}
-
-// translationEntry caches one statement's translation. Its fast path
-// is a PersistentVersion stamp (catVersion): while no durable-schema
-// DDL ran at all, the entry is trivially current. When the version has
-// moved, the entry falls back to the dependency set the effect
-// analysis inferred — the routines, tables, and views the statement
-// can actually reach — and re-pins itself if none of them changed, so
-// unrelated DDL no longer evicts warm translations. Independently of
-// both levels, the referenced temporal tables must hold the same data
-// (stamps — the Auto heuristic reads row counts, so DML can change
-// the chosen strategy; they also pin table identity, so a temporal
-// temp table being dropped or recreated invalidates the entry even
-// though it leaves the persistent version untouched).
+// translationEntry caches one statement's translation. It is valid
+// while pin holds (see storage.Pin): every routine and relation name
+// the statement's effect summaries consulted still resolves to the same
+// catalog object, and every referenced temporal table still holds the
+// same data (the Auto heuristic reads row counts, so DML can change the
+// chosen strategy). Unrelated DDL merely re-pins the entry, while
+// temporary-table churn under a consulted name invalidates it.
 type translationEntry struct {
-	t          *core.Translation
-	catVersion int64
-	stamps     []tableStamp
+	t   *core.Translation
+	pin *storage.Pin
 	// summary is the interprocedural effect summary of the translated
 	// main statement; it feeds EXPLAIN's read/write-set rows and names
-	// part of the dependency set below.
+	// part of the pinned dependency set.
 	summary *check.Summary
 	// origSummary summarizes the pre-translation statement. The
 	// translation embeds clones of the routines the statement calls
 	// (MAX renames them max_<name>), so the translated main no longer
 	// references the originals — but redefining an original must still
-	// invalidate the entry. Its dependency names join the set below.
+	// invalidate the entry. Its dependency names join the pin too.
 	origSummary *check.Summary
-	// depRoutines/depTables/depViews snapshot, per consulted name, the
-	// catalog object the name resolved to at pin time (nil for absent).
-	// Pointer identity is the validity condition: redefining a routine,
-	// recreating or altering a table (ALTER ... ADD VALIDTIME installs a
-	// fresh *storage.Table), or replacing a view all change the pointer.
-	depRoutines map[string]*storage.Routine
-	depTables   map[string]*storage.Table
-	depViews    map[string]*storage.View
 	// registered marks that t.Routines have been installed in the
 	// catalog; later executions of this entry skip re-registration
-	// (the catVersion check guarantees they are still there).
+	// (the pin covers the clone names, so they are still there).
 	registered bool
 	// parallelSafe caches the statement-shape analysis gating parallel
 	// fragment evaluation.
 	parallelSafe bool
 	// prepared is the entry's shared prepared plan: source relations
 	// and join hash tables built by one execution and reused — under
-	// per-table version validation — by every later execution and by
-	// parallel workers. Created lazily under db.mu; dropped with the
-	// entry (cache wipe or invalidation), which is the only eviction
-	// the plan itself needs.
+	// their own pins — by every later execution and by parallel
+	// workers. Created lazily under db.mu; dropped with the entry (cache
+	// wipe or invalidation), which is the only eviction the plan itself
+	// needs.
 	prepared *engine.Prepared
 }
 
 // renderStmtSQL renders a statement back to SQL text, the translation
 // cache's key ("" when the node cannot render itself). Text keys — not
 // AST pointers — let EXPLAIN probe for would-hit with its separately
-// parsed body, and make repeated Query(src) calls hit regardless of
-// parse-cache state.
+// parsed body, and make repeated Query(src) calls hit although each
+// call parses afresh.
 func renderStmtSQL(stmt sqlast.Stmt) string {
 	if s, ok := stmt.(interface{ SQL() string }); ok {
 		return s.SQL()
@@ -170,62 +124,34 @@ func (db *DB) translationKey(stmt sqlast.Stmt) string {
 	return text + "\x00" + db.strategy.String()
 }
 
-func (ent *translationEntry) depSummaries() []*check.Summary {
-	out := make([]*check.Summary, 0, 2)
-	if ent.summary != nil {
-		out = append(out, ent.summary)
-	}
-	if ent.origSummary != nil {
-		out = append(out, ent.origSummary)
-	}
-	return out
-}
-
-// pinDeps snapshots the entry's dependency set against the live
-// catalog. Called at fill time and again after routine registration
-// (which installs the translation's clones, changing what their names
-// resolve to). Caller holds db.mu when the entry is shared.
-func (db *DB) pinDeps(ent *translationEntry) {
-	ent.depRoutines = map[string]*storage.Routine{}
-	ent.depTables = map[string]*storage.Table{}
-	ent.depViews = map[string]*storage.View{}
-	for _, sum := range ent.depSummaries() {
+// pinTranslation pins the entry's dependency set against the live
+// catalog: the routine and relation names of both summaries by
+// identity, the temporal tables by data. Called at fill time and again
+// after routine registration (which installs the translation's clones,
+// changing what their names resolve to). Caller holds db.mu when the
+// entry is shared.
+func (db *DB) pinTranslation(ent *translationEntry) {
+	cat := db.eng.Cat
+	pin := storage.NewPin(cat)
+	for _, sum := range []*check.Summary{ent.summary, ent.origSummary} {
 		for name := range sum.Routines {
-			ent.depRoutines[name] = db.eng.Cat.Routine(name)
+			pin.Routine(cat, name)
 		}
 		for name := range sum.Tables {
-			ent.depTables[name] = db.eng.Cat.Table(name)
-			ent.depViews[name] = db.eng.Cat.View(name)
+			pin.Relation(cat, name, storage.PinIdentity)
 		}
 	}
-}
-
-// depsValid reports whether every name in the entry's dependency set
-// still resolves to the same catalog object it did at pin time.
-func (db *DB) depsValid(ent *translationEntry) bool {
-	if len(ent.depSummaries()) == 0 {
-		return false
+	for _, name := range ent.t.TemporalTables {
+		pin.Relation(cat, name, storage.PinData)
 	}
-	for name, ptr := range ent.depRoutines {
-		if db.eng.Cat.Routine(name) != ptr {
-			return false
-		}
-	}
-	for name, ptr := range ent.depTables {
-		if db.eng.Cat.Table(name) != ptr || db.eng.Cat.View(name) != ent.depViews[name] {
-			return false
-		}
-	}
-	return true
+	ent.pin = pin
 }
 
 // lookupTranslation returns a valid cached entry for key, or nil. The
-// whole validation runs under db.mu because runTranslation rewrites an
-// entry's catVersion/registered after first execution. On a persistent
-// catalog-version mismatch the entry is revalidated against its
-// dependency set and re-pinned when only unrelated DDL ran; cached
-// verdicts derived from the summary (parallelSafe) stay sound because
-// everything they depend on is in that set.
+// validation runs under db.mu because runTranslation re-pins an entry
+// after its first execution. Cached verdicts derived from the summary
+// (parallelSafe) stay sound because everything they depend on is
+// pinned.
 func (db *DB) lookupTranslation(key string) *translationEntry {
 	if key == "" {
 		return nil
@@ -233,14 +159,8 @@ func (db *DB) lookupTranslation(key string) *translationEntry {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	ent := db.tcache[key]
-	if ent == nil || !db.stampsValid(ent.stamps) {
+	if ent == nil || !ent.pin.Valid(db.eng.Cat) {
 		return nil
-	}
-	if catV := db.eng.Cat.PersistentVersion(); ent.catVersion != catV {
-		if !db.depsValid(ent) {
-			return nil
-		}
-		ent.catVersion = catV
 	}
 	return ent
 }
@@ -261,8 +181,8 @@ func (db *DB) storeTranslation(key string, ent *translationEntry) {
 // set) pair. The table is shared read-only by later executions and by
 // parallel workers (chunk tables alias its row slice).
 type cpEntry struct {
-	stamps []tableStamp
-	tab    *storage.Table
+	pin *storage.Pin // data-strength pins of the temporal tables
+	tab *storage.Table
 }
 
 func cpKey(ctx temporal.Period, tables []string, dim sqlast.TemporalDimension) string {
@@ -297,7 +217,7 @@ func (db *DB) constantPeriodTable(st *stmtState, parent obs.SpanContext, t *core
 	if st != nil {
 		st.cpProbed = true
 	}
-	if ent != nil && db.stampsValid(ent.stamps) {
+	if ent != nil && ent.pin.Valid(db.eng.Cat) {
 		db.sm.cpHits.Inc()
 		if st != nil {
 			st.cpHit = true
@@ -305,10 +225,13 @@ func (db *DB) constantPeriodTable(st *stmtState, parent obs.SpanContext, t *core
 		return ent.tab
 	}
 	db.sm.cpMisses.Inc()
-	// Stamps are taken before reading the rows so a racing write can
-	// only make them too old (a spurious recomputation), never too new.
+	// The pin is taken before reading the rows so a racing write can
+	// only make it too old (a spurious recomputation), never too new.
 	start := time.Now()
-	stamps := db.tableStamps(t.TemporalTables)
+	pin := storage.NewPin(db.eng.Cat)
+	for _, name := range t.TemporalTables {
+		pin.Relation(db.eng.Cat, name, storage.PinData)
+	}
 	periods := temporal.ConstantPeriods(db.collectTimePoints(t.TemporalTables, t.Dim), ctx)
 	tab := newCPTable(periods)
 	d := time.Since(start)
@@ -324,7 +247,7 @@ func (db *DB) constantPeriodTable(st *stmtState, parent obs.SpanContext, t *core
 	if len(db.cpcache) >= cpCacheCap {
 		db.cpcache = map[string]*cpEntry{}
 	}
-	db.cpcache[key] = &cpEntry{stamps: stamps, tab: tab}
+	db.cpcache[key] = &cpEntry{pin: pin, tab: tab}
 	db.mu.Unlock()
 	return tab
 }
@@ -335,29 +258,5 @@ func (db *DB) peekCP(key string) bool {
 	db.mu.Lock()
 	ent := db.cpcache[key]
 	db.mu.Unlock()
-	return ent != nil && db.stampsValid(ent.stamps)
-}
-
-// cachedParse returns the parsed statements for src, keeping a bounded
-// cache of parse results for texts executed more than once (see
-// admission). The cached ASTs are shared by every later execution and
-// never mutated downstream (the translator clones before rewriting and
-// the evaluator treats them as read-only).
-func (db *DB) cachedParse(src string) ([]sqlast.Stmt, bool) {
-	db.mu.Lock()
-	stmts, ok := db.parseCache[src]
-	db.mu.Unlock()
-	return stmts, ok
-}
-
-func (db *DB) storeParse(src string, stmts []sqlast.Stmt) {
-	if !db.admit(&db.parseSeen, src) {
-		return
-	}
-	db.mu.Lock()
-	if len(db.parseCache) >= parseCacheCap {
-		db.parseCache = map[string][]sqlast.Stmt{}
-	}
-	db.parseCache[src] = stmts
-	db.mu.Unlock()
+	return ent != nil && ent.pin.Valid(db.eng.Cat)
 }

@@ -1,6 +1,7 @@
 package taupsm
 
 import (
+	"fmt"
 	"testing"
 
 	"taupsm/internal/sqlparser"
@@ -85,7 +86,7 @@ func TestCachesHitAndInvalidate(t *testing.T) {
 		t.Fatalf("after unrelated DDL: translation hits=%d misses=%d, want 2/3 (dep revalidation re-pins)", hits, misses)
 	}
 	if misses := m.Value("stratum.cache.cp_misses_total"); misses != 2 {
-		t.Fatalf("cp misses after DDL = %d, want 2 (stamps still valid)", misses)
+		t.Fatalf("cp misses after DDL = %d, want 2 (data pins still hold)", misses)
 	}
 
 	// Dropping the unrelated table moves the version again; the entry
@@ -204,5 +205,71 @@ func TestTranslationCacheKeyedByStrategy(t *testing.T) {
 	query(PerStatement)
 	if hits := m.Value("stratum.cache.translation_hits_total"); hits != 2 {
 		t.Fatalf("translation hits = %d, want 2 (PERST entry cached independently)", hits)
+	}
+}
+
+// A cached sequenced translation must not outlive a change in what a
+// referenced name resolves to, even when the change is confined to
+// temporary tables and so leaves the durable schema alone: a plain
+// temp table recreated as a valid-time one, or a valid-time temp table
+// shadowing a view. After either change the warm result must equal the
+// result of a cold database under every strategy.
+func TestTranslationCacheFollowsTempTableChurn(t *testing.T) {
+	const (
+		emp = `CREATE TABLE emp (name CHAR(10), dept CHAR(10)) AS VALIDTIME;
+NONSEQUENCED VALIDTIME INSERT INTO emp VALUES ('ann', 'sales', DATE '2010-01-01', DATE '2011-01-01');`
+		temporalD = `CREATE TEMPORARY TABLE d (dept CHAR(10), floor INTEGER) AS VALIDTIME;
+NONSEQUENCED VALIDTIME INSERT INTO d VALUES ('sales', 1, DATE '2010-03-01', DATE '2010-04-01');`
+		q = `VALIDTIME (DATE '2010-01-01', DATE '2011-01-01') SELECT e.name, d.floor FROM emp AS e, d WHERE e.dept = d.dept`
+	)
+	cases := []struct {
+		name, before, change string
+	}{
+		{"temp table recreated as valid-time",
+			`CREATE TEMPORARY TABLE d (dept CHAR(10), floor INTEGER); INSERT INTO d VALUES ('sales', 1);`,
+			`DROP TABLE d; ` + temporalD},
+		{"valid-time temp table shadows view",
+			`CREATE TABLE floors (dept CHAR(10), floor INTEGER); INSERT INTO floors VALUES ('sales', 1);
+CREATE VIEW d AS SELECT dept, floor FROM floors;`,
+			temporalD},
+	}
+	for _, tc := range cases {
+		for _, s := range []Strategy{Max, PerStatement, Auto} {
+			t.Run(tc.name+"/"+s.String(), func(t *testing.T) {
+				open := func() *DB {
+					db := Open()
+					db.SetNow(2010, 6, 15)
+					db.SetStrategy(s)
+					db.MustExec(emp + tc.before)
+					return db
+				}
+				query := func(db *DB) string {
+					t.Helper()
+					res, err := db.Query(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return fmt.Sprint(res.Rows)
+				}
+
+				warm := open()
+				first := query(warm)
+				for range 2 {
+					if got := query(warm); got != first {
+						t.Fatalf("repeat run = %s, want %s", got, first)
+					}
+				}
+				if !translationCached(t, warm, q) {
+					t.Fatal("translation not cached after three runs")
+				}
+				warm.MustExec(tc.change)
+
+				cold := open()
+				cold.MustExec(tc.change)
+				if got, want := query(warm), query(cold); got != want {
+					t.Fatalf("warm result after the change = %s, cold = %s", got, want)
+				}
+			})
+		}
 	}
 }

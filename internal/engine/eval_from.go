@@ -80,20 +80,15 @@ func (db *DB) sourceMetas(ctx *execCtx, ref sqlast.TableRef) ([]entryMeta, error
 				return []entryMeta{{alias: alias, cols: cols}}, nil
 			}
 		}
+		if ctx.planRec != nil {
+			name := strings.ToLower(r.Name)
+			ctx.planRec.varTables[name] = nil
+			ctx.planRec.pin.Relation(db.Cat, name, storage.PinShape)
+		}
 		if t := db.Cat.Table(r.Name); t != nil {
-			cols := t.Schema.Names()
-			if ctx.planRec != nil {
-				ctx.planRec.catTables[strings.ToLower(r.Name)] = catResolved{table: true, cols: cols}
-			}
-			return []entryMeta{{alias: alias, cols: cols}}, nil
+			return []entryMeta{{alias: alias, cols: t.Schema.Names()}}, nil
 		}
 		if v := db.Cat.View(r.Name); v != nil {
-			if ctx.planRec != nil {
-				// Record the view by identity: no table holds the name
-				// (a later temp table can't silently shadow the
-				// resolution), and a redefined view is a new object.
-				ctx.planRec.catTables[strings.ToLower(r.Name)] = catResolved{view: v}
-			}
 			cols := v.Cols
 			if len(cols) == 0 {
 				var err error
@@ -105,11 +100,6 @@ func (db *DB) sourceMetas(ctx *execCtx, ref sqlast.TableRef) ([]entryMeta, error
 			return []entryMeta{{alias: alias, cols: cols}}, nil
 		}
 		if st := db.systemTable(r.Name); st != nil {
-			if ctx.planRec != nil {
-				// System-table schemas are code-defined; record only that
-				// neither a table nor a view holds the name.
-				ctx.planRec.catTables[strings.ToLower(r.Name)] = catResolved{}
-			}
 			return []entryMeta{{alias: alias, cols: st.Schema.Names()}}, nil
 		}
 		return nil, fmt.Errorf("table or view %s does not exist", r.Name)

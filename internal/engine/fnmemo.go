@@ -104,48 +104,13 @@ func (db *DB) memoKey(r *storage.Routine, args []types.Value, fromSite bool) str
 	return b.String()
 }
 
-// purity is one routine's cached effect verdicts. The persistent
-// catalog version is a fast-path stamp; on mismatch the verdicts
-// revalidate against their dependency set — the routines and table
-// names the effect analysis consulted — and re-pin if none changed.
+// purity is one routine's cached effect verdicts, valid while pin
+// holds: the routines and table names the effect analysis consulted
+// still resolve to the same catalog objects.
 type purity struct {
-	catV      int64
-	pure      bool                        // check.Pure
-	writeFree bool                        // check.Summary.SharedWriteFree
-	routines  map[string]*storage.Routine // consulted routine -> identity at analysis
-	tables    map[string]bool             // consulted table name -> existed
-}
-
-// depsValid reports whether the recorded dependency set still resolves
-// identically: every consulted routine is the same object (PutRoutine
-// keeps the pointer when a redefinition renders identically), and every
-// consulted table name still (or still doesn't) name a stored table.
-func (db *DB) depsValid(routines map[string]*storage.Routine, tables map[string]bool) bool {
-	for name, ptr := range routines {
-		if db.Cat.Routine(name) != ptr {
-			return false
-		}
-	}
-	for name, existed := range tables {
-		if (db.Cat.Table(name) != nil) != existed {
-			return false
-		}
-	}
-	return true
-}
-
-// analysisDeps snapshots the dependency set of an effect summary
-// against the live catalog, for later revalidation.
-func (db *DB) analysisDeps(sum *check.Summary) (map[string]*storage.Routine, map[string]bool) {
-	routines := make(map[string]*storage.Routine, len(sum.Routines))
-	for name := range sum.Routines {
-		routines[name] = db.Cat.Routine(name)
-	}
-	tables := make(map[string]bool, len(sum.Tables))
-	for name, existed := range sum.Tables {
-		tables[name] = existed
-	}
-	return routines, tables
+	pure      bool // check.Pure
+	writeFree bool // check.Summary.SharedWriteFree
+	pin       *storage.Pin
 }
 
 // routineEffects returns a routine's effect verdicts. pure means free
@@ -154,34 +119,30 @@ func (db *DB) analysisDeps(sum *check.Summary) (map[string]*storage.Routine, map
 // stored-table write and no DDL, with effects confined to collection
 // variables and frame-local temporary tables (SharedWriteFree of the
 // routine's summary). The static analyzer is the single source of
-// truth for both. Verdicts are cached by lowercased routine name with
-// two-level invalidation: a matching persistent catalog version
-// accepts immediately, and a mismatched one falls back to the
-// verdicts' inferred dependency set (the routines and tables the
-// analysis consulted) — unrelated DDL re-pins the verdicts instead of
-// recomputing them, while redefining the routine or any callee misses
-// both levels (CREATE OR REPLACE installs a new *storage.Routine).
-// The cache is a sync.Map because parallel fragment workers share it
-// through their session handles.
-func (db *DB) routineEffects(r *storage.Routine) purity {
-	catV := db.Cat.PersistentVersion()
+// truth for both. Verdicts are cached by lowercased routine name under
+// a pin of the summary's dependency set: unrelated DDL re-pins them,
+// while redefining the routine or any callee invalidates them (CREATE
+// OR REPLACE installs a new *storage.Routine). This runs on every
+// routine call, so the common case is the pin's fast path. The cache
+// is a sync.Map because parallel fragment workers share it through
+// their session handles.
+func (db *DB) routineEffects(r *storage.Routine) *purity {
 	key := strings.ToLower(r.Name)
 	if v, ok := db.fnPure.Load(key); ok {
-		p := v.(purity)
-		if p.catV == catV {
-			return p
-		}
-		if db.depsValid(p.routines, p.tables) {
-			p.catV = catV
-			db.fnPure.Store(key, p)
+		if p := v.(*purity); p.pin.Valid(db.Cat) {
 			return p
 		}
 	}
+	pin := storage.NewPin(db.Cat)
 	cat := check.FromStorage(db.Cat)
 	sum := check.SummarizeRoutine(cat, r.Name)
-	routines, tables := db.analysisDeps(sum)
-	p := purity{catV: catV, pure: check.Pure(cat, r.Name), writeFree: sum.SharedWriteFree(),
-		routines: routines, tables: tables}
+	for name := range sum.Routines {
+		pin.Routine(db.Cat, name)
+	}
+	for name := range sum.Tables {
+		pin.Relation(db.Cat, name, storage.PinIdentity)
+	}
+	p := &purity{pure: check.Pure(cat, r.Name), writeFree: sum.SharedWriteFree(), pin: pin}
 	db.fnPure.Store(key, p)
 	return p
 }

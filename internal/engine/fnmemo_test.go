@@ -269,3 +269,41 @@ func TestFnMemoSurvivesFrameLocalWrites(t *testing.T) {
 	res := mustExec(t, db, `SELECT a, b, c FROM probe`)
 	expectRows(t, res, "100,100,100")
 }
+
+// Redefining a callee so that it writes must stop memoization of its
+// read-only caller: the caller's cached effect verdict depends on the
+// callee's definition, not just on the caller's own.
+func TestFnMemoStopsWhenCalleeStartsWriting(t *testing.T) {
+	db := New()
+	mustExec(t, db, `
+		CREATE TABLE t (x INTEGER);
+		INSERT INTO t VALUES (1), (2), (3);
+		CREATE TABLE logt (n INTEGER);
+		CREATE FUNCTION g (n INTEGER) RETURNS INTEGER RETURN n * 2;
+		CREATE FUNCTION f (n INTEGER) RETURNS INTEGER RETURN g(n) + 1;
+	`)
+	res, calls, hits := callDelta(t, db, `SELECT f(1) FROM t`)
+	if len(res.Rows) != 3 || res.Rows[0][0].Int() != 3 {
+		t.Fatalf("f(1) over t = %v, want three rows of 3", res.Rows)
+	}
+	if hits != 2 {
+		t.Fatalf("memo hits = %d (calls %d), want 2", hits, calls)
+	}
+
+	mustExec(t, db, `
+		CREATE OR REPLACE FUNCTION g (n INTEGER)
+		RETURNS INTEGER
+		MODIFIES SQL DATA
+		LANGUAGE SQL
+		BEGIN
+		  INSERT INTO logt VALUES (n);
+		  RETURN n * 2;
+		END;
+	`)
+	if _, _, hits := callDelta(t, db, `SELECT f(1) FROM t`); hits != 0 {
+		t.Fatalf("memo hits after g started writing = %d, want 0", hits)
+	}
+	if res := mustExec(t, db, `SELECT n FROM logt`); len(res.Rows) != 3 {
+		t.Fatalf("logt has %d rows, want 3 (one write per row)", len(res.Rows))
+	}
+}

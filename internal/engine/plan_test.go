@@ -86,3 +86,24 @@ func TestPlanInvalidatedByTempShadowingView(t *testing.T) {
 		t.Fatalf("temp table failed to shadow view for cached plan: %s", got)
 	}
 }
+
+// A plan over a view whose columns come from star expansion must follow
+// the base table: recreating it with reordered columns changes what the
+// view's columns are, so the plan must re-infer them, not misbind.
+func TestPlanFollowsStarViewBase(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, `CREATE TABLE base (a INTEGER, b VARCHAR(10));
+		INSERT INTO base VALUES (1, 'x');
+		CREATE VIEW sv AS SELECT * FROM base`)
+	prep := NewPrepared()
+	stmt := parseStmt(t, `SELECT b FROM sv`)
+	if got := fmt.Sprint(rowsText(runPrepared(t, db, prep, stmt, nil))); got != "[x]" {
+		t.Fatalf("before: %s", got)
+	}
+	mustExec(t, db, `DROP TABLE base;
+		CREATE TABLE base (b VARCHAR(10), a INTEGER);
+		INSERT INTO base VALUES ('y', 2)`)
+	if got := fmt.Sprint(rowsText(runPrepared(t, db, prep, stmt, nil))); got != "[y]" {
+		t.Fatalf("stale view columns after the base table changed: %s", got)
+	}
+}

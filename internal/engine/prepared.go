@@ -21,13 +21,13 @@ import (
 // many times: across the constant periods of one statement, across
 // repeated executions of the same statement text, and across workers.
 //
-// Safety is by validation, exactly like the cp and translation caches:
-// every cached relation is stamped with its table's identity, version,
-// and the clock (CURRENT_DATE can appear in a closed filter), and the
-// exact pushdown conjunct set it was filtered by, all re-checked on
-// every consult. A mid-batch DML bumps the table version and the next
-// consult rebuilds. Entries are immutable once published; the mutex
-// only guards the maps.
+// Safety is by validation, like the cp and translation caches: every
+// cached relation holds a data-strength storage.Pin of its table (the
+// same table at the same version), plus the clock (CURRENT_DATE can
+// appear in a closed filter) and the exact pushdown conjunct set it was
+// filtered by, all re-checked on every consult. A mid-batch DML bumps
+// the table version and the next consult rebuilds. Entries are
+// immutable once published; the mutex only guards the maps.
 //
 // A Prepared also owns the SELECT plans (see selPlan) of the
 // statements executed under it, so they live exactly as long as the
@@ -44,15 +44,14 @@ func NewPrepared() *Prepared {
 }
 
 // prepRel is one cached source relation, keyed by the FROM-clause node
-// that produced it. tab/version/now/push are the validity stamp; rel
-// is served to evalSelect as a shallow struct copy (its rows are never
-// mutated in place by the evaluator — filters reallocate). The join
-// hash tables, keyed by key signature, are built on demand under mu.
+// that produced it. pin/now/push are the validity stamp; rel is served
+// to evalSelect as a shallow struct copy (its rows are never mutated in
+// place by the evaluator — filters reallocate). The join hash tables,
+// keyed by key signature, are built on demand under mu.
 type prepRel struct {
-	tab     *storage.Table
-	version int64
-	now     int64
-	push    []*conjunct // pushdown set at build time, compared by identity
+	pin  *storage.Pin
+	now  int64
+	push []*conjunct // pushdown set at build time, compared by identity
 
 	rel *rel
 
@@ -60,13 +59,10 @@ type prepRel struct {
 	hashes map[string]map[string][][][]types.Value
 }
 
-// valid reports whether the entry still describes table t filtered by
-// exactly the given pushdown conjuncts under the current clock.
-func (e *prepRel) valid(t *storage.Table, now int64, pushdown []*conjunct) bool {
-	if e.tab != t || e.version != t.Version() || e.now != now {
-		return false
-	}
-	if len(e.push) != len(pushdown) {
+// valid reports whether the entry still describes its table filtered
+// by exactly the given pushdown conjuncts under the current clock.
+func (e *prepRel) valid(cat *storage.Catalog, now int64, pushdown []*conjunct) bool {
+	if e.now != now || len(e.push) != len(pushdown) {
 		return false
 	}
 	for i, c := range pushdown {
@@ -74,7 +70,7 @@ func (e *prepRel) valid(t *storage.Table, now int64, pushdown []*conjunct) bool 
 			return false
 		}
 	}
-	return true
+	return e.pin.Valid(cat)
 }
 
 // cacheablePushdown reports whether every pushdown conjunct is closed:
@@ -109,13 +105,8 @@ func (db *DB) loadSourcePrepared(ctx *execCtx, ref sqlast.TableRef, metas []entr
 		// collection parameter): contents are per-execution.
 		return db.loadSource(ctx, ref, metas, pushdown)
 	}
-	t := db.Cat.Table(bt.Name)
-	if t == nil {
-		return db.loadSource(ctx, ref, metas, pushdown)
-	}
-
 	p.mu.Lock()
-	if ent := p.rels[bt]; ent != nil && ent.valid(t, db.Now, pushdown) {
+	if ent := p.rels[bt]; ent != nil && ent.valid(db.Cat, db.Now, pushdown) {
 		cp := *ent.rel
 		cp.prepEnt = ent
 		p.mu.Unlock()
@@ -124,9 +115,14 @@ func (db *DB) loadSourcePrepared(ctx *execCtx, ref sqlast.TableRef, metas []entr
 	}
 	p.mu.Unlock()
 
-	// Read the version before scanning so a racing bump can only make
-	// the stamp too old (a spurious rebuild), never too new.
-	version := t.Version()
+	t := db.Cat.Table(bt.Name)
+	if t == nil {
+		return db.loadSource(ctx, ref, metas, pushdown)
+	}
+	// Pin before scanning so a racing bump can only make the stamp too
+	// old (a spurious rebuild), never too new.
+	pin := storage.NewPin(db.Cat)
+	pin.Relation(db.Cat, bt.Name, storage.PinData)
 	loaded, err := db.loadSource(ctx, ref, metas, pushdown)
 	if err != nil {
 		return nil, err
@@ -137,11 +133,10 @@ func (db *DB) loadSourcePrepared(ctx *execCtx, ref sqlast.TableRef, metas []entr
 		return loaded, nil
 	}
 	ent := &prepRel{
-		tab:     t,
-		version: version,
-		now:     db.Now,
-		push:    append([]*conjunct(nil), pushdown...),
-		rel:     loaded,
+		pin:  pin,
+		now:  db.Now,
+		push: append([]*conjunct(nil), pushdown...),
+		rel:  loaded,
 	}
 	p.mu.Lock()
 	p.rels[bt] = ent

@@ -44,6 +44,20 @@ func (s *Schema) Index(name string) int {
 	return -1
 }
 
+// NamesEqual reports whether the column names are exactly names, in
+// order.
+func (s *Schema) NamesEqual(names []string) bool {
+	if len(s.Cols) != len(names) {
+		return false
+	}
+	for i, c := range s.Cols {
+		if c.Name != names[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Names returns the column names in order.
 func (s *Schema) Names() []string {
 	out := make([]string, len(s.Cols))
@@ -73,7 +87,6 @@ type Table struct {
 	TransactionTime bool
 	Temporary       bool
 
-	id      int64
 	version int64
 
 	mu      sync.RWMutex // guards lazily built indexes
@@ -86,22 +99,14 @@ type hashIndex struct {
 	m       map[string][]int
 }
 
-// tableSeq issues unique table identities, so caches keyed by table
-// version can tell a mutated table apart from a dropped-and-recreated
-// one (whose version restarts at zero).
-var tableSeq atomic.Int64
-
 // NewTable creates an empty table.
 func NewTable(name string, schema *Schema) *Table {
-	return &Table{Name: name, Schema: schema, id: tableSeq.Add(1),
-		indexes: make(map[int]*hashIndex)}
+	return &Table{Name: name, Schema: schema, indexes: make(map[int]*hashIndex)}
 }
 
-// ID returns the table's process-unique identity.
-func (t *Table) ID() int64 { return t.id }
-
 // Version returns the table's mutation counter; it changes on every
-// Insert or Bump, so (ID, Version) pairs identify a table state.
+// Insert or Bump, so (table pointer, Version) pairs identify a table
+// state (see Pin).
 func (t *Table) Version() int64 { return t.version }
 
 // Insert appends a row; the row length must match the schema.
@@ -247,16 +252,16 @@ type Catalog struct {
 // every mutation that actually changes the set of schema objects.
 // No-op drops (DROP ... IF EXISTS of a missing object) and routine
 // re-registrations with an identical definition do not bump it, so
-// plan and translation caches keyed by this version stay warm across
-// repeated executions of generated setup/teardown scripts.
+// the lint cache keyed by this version stays warm across repeated
+// executions of generated setup/teardown scripts.
 func (c *Catalog) Version() int64 { return c.version.Load() }
 
 // PersistentVersion is Version restricted to the durable schema: DDL
 // touching only temporary tables leaves it unchanged. Generated plans
 // create and drop statement-scoped scratch tables on every execution;
-// caches keyed by the full version would thrash on that churn, so the
-// plan and translation caches key on this counter instead and validate
-// their temporary-table resolutions individually.
+// caches keyed by the full version would thrash on that churn, so Pin
+// fast-paths its durable entries on this counter instead and checks
+// its temporary-table resolutions individually.
 func (c *Catalog) PersistentVersion() int64 { return c.persist.Load() }
 
 // NewCatalog returns an empty catalog.
@@ -269,6 +274,15 @@ func NewCatalog() *Catalog {
 }
 
 func key(name string) string { return strings.ToLower(name) }
+
+// relation returns what name resolves to as a relation: its table and
+// its view (either may be nil), read under one lock.
+func (c *Catalog) relation(name string) (*Table, *View) {
+	k := key(name)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.tables[k], c.views[k]
+}
 
 // Table returns the named table or nil.
 func (c *Catalog) Table(name string) *Table {

@@ -163,7 +163,7 @@ func (db *DB) runParallelMain(st *stmtState, e *engine.DB, t *core.Translation, 
 				// Workers share the read-only prepared plan: the first one to
 				// need a source relation or hash table builds it, the rest
 				// reuse it (the statement is write-free here, so the plan's
-				// version stamps stay valid for the whole run).
+				// pins stay valid for the whole run).
 				res, err := ses.ExecPreparedWithTables(prep, t.Main, map[string]*storage.Table{
 					"taupsm_cp": chunkCPTable(cp, lo, hi),
 				})

@@ -116,14 +116,12 @@ type DB struct {
 	// execute on engine sessions, so any number of goroutines may call
 	// Query concurrently; writes (DML/DDL) still need external
 	// serialization against concurrent readers.
-	mu         sync.Mutex
-	par        int
-	parseCache map[string][]sqlast.Stmt
-	tcache     map[string]*translationEntry
-	cpcache    map[string]*cpEntry
-	// parseSeen and transSeen admit a text to parseCache and tcache on
-	// its second execution (see admission).
-	parseSeen admission
+	mu      sync.Mutex
+	par     int
+	tcache  map[string]*translationEntry
+	cpcache map[string]*cpEntry
+	// transSeen admits a text to tcache on its second execution (see
+	// admission).
 	transSeen admission
 	// lintCache keyed by statement text serves repeated static analysis
 	// (EXPLAIN's lint section, re-executed statements) for one catalog
@@ -158,18 +156,16 @@ func Open() *DB {
 // been recovered from a snapshot + WAL) and a metrics registry.
 func newDB(eng *engine.DB, metrics *obs.Metrics) *DB {
 	db := &DB{
-		eng:        eng,
-		strategy:   Auto,
-		metrics:    metrics,
-		par:        runtime.GOMAXPROCS(0),
-		parseCache: map[string][]sqlast.Stmt{},
-		tcache:     map[string]*translationEntry{},
-		parseSeen:  newAdmission(),
-		transSeen:  newAdmission(),
-		cpcache:    map[string]*cpEntry{},
-		lintCache:  map[string][]Diagnostic{},
-		ring:       obs.NewRing(0),
-		procs:      proc.NewRegistry(),
+		eng:       eng,
+		strategy:  Auto,
+		metrics:   metrics,
+		par:       runtime.GOMAXPROCS(0),
+		tcache:    map[string]*translationEntry{},
+		transSeen: newAdmission(),
+		cpcache:   map[string]*cpEntry{},
+		lintCache: map[string][]Diagnostic{},
+		ring:      obs.NewRing(0),
+		procs:     proc.NewRegistry(),
 	}
 	eng.Procs = db.procs
 	db.sm = newStratumMetrics(db.metrics)
@@ -356,14 +352,9 @@ func (db *DB) SetNow(year, month, day int) {
 // direct conventional execution). Intended for benchmarks and tests.
 func (db *DB) Engine() *engine.DB { return db.eng }
 
-// parseScript parses src, timing the parse phase; repeated sources
-// come from the parse cache (reusing AST pointers, which also keys the
-// engine's plan cache). When ctx carries a trace session the parse
-// span joins that trace as a root-level span.
+// parseScript parses src, timing the parse phase. When ctx carries a
+// trace session the parse span joins that trace as a root-level span.
 func (db *DB) parseScript(ctx context.Context, src string) ([]sqlast.Stmt, error) {
-	if stmts, ok := db.cachedParse(src); ok {
-		return stmts, nil
-	}
 	start := time.Now()
 	stmts, err := sqlparser.ParseScript(src)
 	d := time.Since(start)
@@ -379,9 +370,6 @@ func (db *DB) parseScript(ctx context.Context, src string) ([]sqlast.Stmt, error
 			sp.Attrs = append(sp.Attrs, obs.A("error", err.Error()))
 		}
 		tr.Span(sp)
-	}
-	if err == nil {
-		db.storeParse(src, stmts)
 	}
 	return stmts, err
 }
@@ -630,13 +618,12 @@ func (db *DB) cachedTranslate(st *stmtState, stmt sqlast.Stmt) (*core.Translatio
 		return ent.t, ent, nil
 	}
 	db.sm.transMisses.Inc()
-	if !db.admit(&db.transSeen, key) {
+	if !db.admit(key) {
 		// First execution of this text: translate without an entry, so
 		// a one-shot statement pins nothing in the cache.
 		t, err := db.translateStmt(stmt)
 		return t, nil, err
 	}
-	catV := db.eng.Cat.PersistentVersion()
 	t, err := db.translateStmt(stmt)
 	if err != nil || t == nil {
 		return t, nil, err
@@ -644,13 +631,11 @@ func (db *DB) cachedTranslate(st *stmtState, stmt sqlast.Stmt) (*core.Translatio
 	sum := db.mainSummary(t)
 	ent := &translationEntry{
 		t:            t,
-		catVersion:   catV,
-		stamps:       db.tableStamps(t.TemporalTables),
 		summary:      sum,
 		origSummary:  check.Summarize(check.FromStorage(db.eng.Cat), nil, stmt),
 		parallelSafe: chunkOrderSafeMain(t) && sum.SharedWriteFree(),
 	}
-	db.pinDeps(ent)
+	db.pinTranslation(ent)
 	db.storeTranslation(key, ent)
 	return t, ent, nil
 }
@@ -885,8 +870,8 @@ func (db *DB) temporalRowCount() int {
 }
 
 // runTranslation registers the translation's routines (once per cache
-// entry — the entry's catalog-version check guarantees they are still
-// installed on later hits), then executes the main statement on the
+// entry — the entry's pin guarantees they are still installed on later
+// hits), then executes the main statement on the
 // given engine session: natively for MAX constant periods unless
 // UseFigure8SQL, through the translation's own Setup/Teardown script
 // otherwise.
@@ -904,13 +889,11 @@ func (db *DB) runTranslation(st *stmtState, e *engine.DB, ent *translationEntry,
 			}
 		}
 		if ent != nil {
-			// Registration may have bumped the catalog version and changed
-			// what the clone names resolve to; re-pin the entry and its
-			// dependency snapshot so the very next lookup already hits.
+			// Registration may have changed what the clone names resolve
+			// to; re-pin the entry so the very next lookup already hits.
 			db.mu.Lock()
 			ent.registered = true
-			ent.catVersion = db.eng.Cat.PersistentVersion()
-			db.pinDeps(ent)
+			db.pinTranslation(ent)
 			db.mu.Unlock()
 		}
 	}
