@@ -13,7 +13,8 @@ race:
 
 # verify is the full gate: formatting, static checks (staticcheck when
 # installed — CI installs a pinned version), the race-enabled test
-# run, and a short fuzz smoke over the two untrusted-input surfaces.
+# run, and a short fuzz smoke over the two untrusted-input surfaces and
+# bound expression evaluation.
 verify:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
@@ -24,10 +25,12 @@ verify:
 	$(MAKE) fuzz-smoke
 
 # fuzz-smoke runs each fuzz target briefly: enough to catch shallow
-# decoder/parser panics on every verify, without CI-scale fuzzing.
+# decoder/parser panics and bound-vs-interpreted evaluation divergence
+# on every verify, without CI-scale fuzzing.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=5s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s -run '^$$' ./internal/sqlparser
+	$(GO) test -fuzz=FuzzBoundEval -fuzztime=5s -run '^$$' ./internal/engine
 
 # bench regenerates the machine-readable benchmark artifact extending
 # the perf trajectory (BENCH_1.json is the pre-caching baseline).

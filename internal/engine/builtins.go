@@ -22,87 +22,123 @@ func (db *DB) evalFuncCall(ctx *execCtx, fc *sqlast.FuncCall) (types.Value, erro
 	return db.evalBuiltin(ctx, fc)
 }
 
+// evalBuiltin evaluates a builtin call interpretively; bound
+// expressions resolve the kernel once at bind time (bind.go).
 func (db *DB) evalBuiltin(ctx *execCtx, fc *sqlast.FuncCall) (types.Value, error) {
 	name := strings.ToUpper(fc.Name)
+	if name == "COALESCE" {
+		// COALESCE evaluates lazily.
+		for _, a := range fc.Args {
+			v, err := db.evalExpr(ctx, a)
+			if err != nil {
+				return types.Null, err
+			}
+			if !v.IsNull() {
+				return v, nil
+			}
+		}
+		return types.Null, nil
+	}
 	args := make([]types.Value, len(fc.Args))
 	for i, a := range fc.Args {
-		// COALESCE evaluates lazily.
-		if name == "COALESCE" {
-			break
-		}
 		v, err := db.evalExpr(ctx, a)
 		if err != nil {
 			return types.Null, err
 		}
 		args[i] = v
 	}
-	arity := func(n int) error {
-		if len(fc.Args) != n {
-			return fmt.Errorf("%s expects %d argument(s), got %d", name, n, len(fc.Args))
-		}
-		return nil
+	k := builtinKernels[name]
+	if k == nil {
+		return types.Null, unknownFunction(fc.Name)
 	}
-	switch name {
-	case "CURRENT_DATE", "CURRENT_TIME", "CURRENT_TIMESTAMP":
+	return k(db, name, args)
+}
+
+func unknownFunction(name string) error { return fmt.Errorf("unknown function %s", name) }
+
+// builtinKernel applies one builtin to its evaluated arguments; name is
+// the upper-cased function name the call used (aliases share kernels).
+type builtinKernel func(db *DB, name string, args []types.Value) (types.Value, error)
+
+func arity(name string, args []types.Value, n int) error {
+	if len(args) != n {
+		return fmt.Errorf("%s expects %d argument(s), got %d", name, n, len(args))
+	}
+	return nil
+}
+
+// unary wraps a NULL-propagating one-argument builtin.
+func unary(f func(v types.Value) (types.Value, error)) builtinKernel {
+	return func(_ *DB, name string, args []types.Value) (types.Value, error) {
+		if err := arity(name, args, 1); err != nil {
+			return types.Null, err
+		}
+		if args[0].IsNull() {
+			return types.Null, nil
+		}
+		return f(args[0])
+	}
+}
+
+// binaryInstants are the two-argument builtins that bound calls apply
+// without building an argument slice; they run on every PERST period
+// clamp.
+var binaryInstants = map[string]func(a, b types.Value) types.Value{
+	"FIRST_INSTANCE": firstInstance,
+	"LAST_INSTANCE":  lastInstance,
+}
+
+func binary(f func(a, b types.Value) types.Value) builtinKernel {
+	return func(_ *DB, name string, args []types.Value) (types.Value, error) {
+		if err := arity(name, args, 2); err != nil {
+			return types.Null, err
+		}
+		return f(args[0], args[1]), nil
+	}
+}
+
+// firstInstance is the earlier of two instants (paper Figure 4).
+func firstInstance(a, b types.Value) types.Value {
+	if a.IsNull() || b.IsNull() {
+		return types.Null
+	}
+	if c, ok := types.Compare(a, b); ok && c > 0 {
+		return b
+	}
+	return a
+}
+
+// lastInstance is the later of two instants (paper Figure 4).
+func lastInstance(a, b types.Value) types.Value {
+	if a.IsNull() || b.IsNull() {
+		return types.Null
+	}
+	if c, ok := types.Compare(a, b); ok && c < 0 {
+		return b
+	}
+	return a
+}
+
+// builtinKernels maps upper-cased builtin names to their kernels.
+// COALESCE is absent: it evaluates its arguments lazily, so its callers
+// implement it directly.
+var builtinKernels map[string]builtinKernel
+
+func init() {
+	now := func(db *DB, _ string, _ []types.Value) (types.Value, error) {
 		return types.NewDate(db.Now), nil
-	case "FIRST_INSTANCE":
-		// The earlier of two instants (paper Figure 4).
-		if err := arity(2); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return types.Null, nil
-		}
-		if c, ok := types.Compare(args[0], args[1]); ok && c > 0 {
-			return args[1], nil
-		}
-		return args[0], nil
-	case "LAST_INSTANCE":
-		// The later of two instants (paper Figure 4).
-		if err := arity(2); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return types.Null, nil
-		}
-		if c, ok := types.Compare(args[0], args[1]); ok && c < 0 {
-			return args[1], nil
-		}
-		return args[0], nil
-	case "UPPER", "UCASE":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
-		return types.NewString(strings.ToUpper(args[0].Text())), nil
-	case "LOWER", "LCASE":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
-		return types.NewString(strings.ToLower(args[0].Text())), nil
-	case "LENGTH", "CHAR_LENGTH", "CHARACTER_LENGTH":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
-		return types.NewInt(int64(len(args[0].Text()))), nil
-	case "TRIM":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
-		return types.NewString(strings.TrimSpace(args[0].Text())), nil
-	case "SUBSTR", "SUBSTRING":
-		if len(fc.Args) != 2 && len(fc.Args) != 3 {
+	}
+	upper := unary(func(v types.Value) (types.Value, error) {
+		return types.NewString(strings.ToUpper(v.Text())), nil
+	})
+	lower := unary(func(v types.Value) (types.Value, error) {
+		return types.NewString(strings.ToLower(v.Text())), nil
+	})
+	length := unary(func(v types.Value) (types.Value, error) {
+		return types.NewInt(int64(len(v.Text()))), nil
+	})
+	substr := func(_ *DB, name string, args []types.Value) (types.Value, error) {
+		if len(args) != 2 && len(args) != 3 {
 			return types.Null, fmt.Errorf("%s expects 2 or 3 arguments", name)
 		}
 		if args[0].IsNull() {
@@ -117,94 +153,81 @@ func (db *DB) evalBuiltin(ctx *execCtx, fc *sqlast.FuncCall) (types.Value, error
 			start = len(s)
 		}
 		end := len(s)
-		if len(fc.Args) == 3 {
+		if len(args) == 3 {
 			if n := int(args[2].Int()); start+n < end {
 				end = start + n
 			}
 		}
 		return types.NewString(s[start:end]), nil
-	case "ABS":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
-		if args[0].Kind == types.KindFloat {
-			f := args[0].F
-			if f < 0 {
-				f = -f
+	}
+	civil := func(part func(y, m, d int) int) builtinKernel {
+		return unary(func(v types.Value) (types.Value, error) {
+			y, m, d := types.DaysToCivil(v.Int())
+			return types.NewInt(int64(part(y, m, d))), nil
+		})
+	}
+	builtinKernels = map[string]builtinKernel{
+		"CURRENT_DATE":      now,
+		"CURRENT_TIME":      now,
+		"CURRENT_TIMESTAMP": now,
+		"FIRST_INSTANCE":    binary(firstInstance),
+		"LAST_INSTANCE":     binary(lastInstance),
+		"UPPER":             upper,
+		"UCASE":             upper,
+		"LOWER":             lower,
+		"LCASE":             lower,
+		"LENGTH":            length,
+		"CHAR_LENGTH":       length,
+		"CHARACTER_LENGTH":  length,
+		"TRIM": unary(func(v types.Value) (types.Value, error) {
+			return types.NewString(strings.TrimSpace(v.Text())), nil
+		}),
+		"SUBSTR":    substr,
+		"SUBSTRING": substr,
+		"ABS": unary(func(v types.Value) (types.Value, error) {
+			if v.Kind == types.KindFloat {
+				f := v.F
+				if f < 0 {
+					f = -f
+				}
+				return types.NewFloat(f), nil
 			}
-			return types.NewFloat(f), nil
-		}
-		n := args[0].Int()
-		if n < 0 {
-			n = -n
-		}
-		return types.NewInt(n), nil
-	case "MOD":
-		if err := arity(2); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return types.Null, nil
-		}
-		d := args[1].Int()
-		if d == 0 {
-			return types.Null, fmt.Errorf("MOD by zero")
-		}
-		return types.NewInt(args[0].Int() % d), nil
-	case "COALESCE":
-		for _, a := range fc.Args {
-			v, err := db.evalExpr(ctx, a)
-			if err != nil {
+			n := v.Int()
+			if n < 0 {
+				n = -n
+			}
+			return types.NewInt(n), nil
+		}),
+		"MOD": func(_ *DB, name string, args []types.Value) (types.Value, error) {
+			if err := arity(name, args, 2); err != nil {
 				return types.Null, err
 			}
-			if !v.IsNull() {
-				return v, nil
+			if args[0].IsNull() || args[1].IsNull() {
+				return types.Null, nil
 			}
-		}
-		return types.Null, nil
-	case "NULLIF":
-		if err := arity(2); err != nil {
-			return types.Null, err
-		}
-		if types.CompareOp("=", args[0], args[1]) == types.True {
-			return types.Null, nil
-		}
-		return args[0], nil
-	case "YEAR":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
-		y, _, _ := types.DaysToCivil(args[0].Int())
-		return types.NewInt(int64(y)), nil
-	case "MONTH":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
-		_, m, _ := types.DaysToCivil(args[0].Int())
-		return types.NewInt(int64(m)), nil
-	case "DAY":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		if args[0].IsNull() {
-			return types.Null, nil
-		}
-		_, _, d := types.DaysToCivil(args[0].Int())
-		return types.NewInt(int64(d)), nil
-	case "DATE":
-		if err := arity(1); err != nil {
-			return types.Null, err
-		}
-		return castValue(args[0], sqlast.TypeName{Base: "DATE"})
+			d := args[1].Int()
+			if d == 0 {
+				return types.Null, fmt.Errorf("MOD by zero")
+			}
+			return types.NewInt(args[0].Int() % d), nil
+		},
+		"NULLIF": func(_ *DB, name string, args []types.Value) (types.Value, error) {
+			if err := arity(name, args, 2); err != nil {
+				return types.Null, err
+			}
+			if types.CompareOp("=", args[0], args[1]) == types.True {
+				return types.Null, nil
+			}
+			return args[0], nil
+		},
+		"YEAR":  civil(func(y, _, _ int) int { return y }),
+		"MONTH": civil(func(_, m, _ int) int { return m }),
+		"DAY":   civil(func(_, _, d int) int { return d }),
+		"DATE": func(_ *DB, name string, args []types.Value) (types.Value, error) {
+			if err := arity(name, args, 1); err != nil {
+				return types.Null, err
+			}
+			return castValue(args[0], sqlast.TypeName{Base: "DATE"})
+		},
 	}
-	return types.Null, fmt.Errorf("unknown function %s", fc.Name)
 }

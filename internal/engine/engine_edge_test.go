@@ -481,3 +481,59 @@ func TestLogWritesCounted(t *testing.T) {
 		t.Fatalf("log writes = %d, want 2", db.Stats.LogWrites)
 	}
 }
+
+// A name that is an error where it is evaluated — an ambiguous
+// unqualified column, a missing column of a local alias — fails when
+// the plan is bound, whatever the data: empty tables must not hide it.
+// An unqualified name outside the FROM clause's columns may still
+// resolve in an enclosing scope, so it fails only when evaluated.
+func TestNameErrorsIndependentOfData(t *testing.T) {
+	for _, filled := range []bool{false, true} {
+		db := New()
+		mustExec(t, db, `CREATE TABLE a (x INTEGER, y INTEGER); CREATE TABLE b (x INTEGER, z INTEGER)`)
+		if filled {
+			mustExec(t, db, `INSERT INTO a VALUES (1, 2); INSERT INTO b VALUES (1, 3)`)
+		}
+		for _, tc := range []struct{ src, want string }{
+			{`SELECT x FROM a, b`, "column reference x is ambiguous"},
+			{`SELECT a.q FROM a`, "column a.q does not exist"},
+			{`SELECT y FROM a, b WHERE b.q = 1`, "column b.q does not exist"},
+			{`SELECT y FROM a ORDER BY a.q`, "column a.q does not exist"},
+		} {
+			_, err := db.ExecScript(tc.src)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("filled=%v %q: got %v, want error %q", filled, tc.src, err, tc.want)
+			}
+		}
+		_, err := db.ExecScript(`SELECT q FROM a`)
+		if filled != (err != nil) {
+			t.Errorf("filled=%v: SELECT q FROM a: got %v", filled, err)
+		}
+	}
+}
+
+// Routine calls are resolved once per plan, and the resolution is
+// pinned: a plan that called f sees f replaced, and a plan that used
+// the builtin UPPER calls a user upper created after it was built.
+func TestRoutineResolutionFollowsDDL(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, `CREATE FUNCTION f (n INTEGER) RETURNS INTEGER LANGUAGE SQL BEGIN RETURN n + 1; END`)
+	prep := NewPrepared()
+	stmt := parseStmt(t, `SELECT f(id), UPPER(title) FROM item WHERE id = 1`)
+	expectRows(t, runPrepared(t, db, prep, stmt, nil), "2,SQL BASICS")
+	mustExec(t, db, `CREATE OR REPLACE FUNCTION f (n INTEGER) RETURNS INTEGER LANGUAGE SQL BEGIN RETURN n + 100; END`)
+	expectRows(t, runPrepared(t, db, prep, stmt, nil), "101,SQL BASICS")
+	mustExec(t, db, `CREATE FUNCTION upper (s VARCHAR(100)) RETURNS VARCHAR(100) LANGUAGE SQL BEGIN RETURN s || '!'; END`)
+	expectRows(t, runPrepared(t, db, prep, stmt, nil), "101,SQL Basics!")
+	mustExec(t, db, `DROP FUNCTION upper`)
+	expectRows(t, runPrepared(t, db, prep, stmt, nil), "101,SQL BASICS")
+}
+
+// ORDER BY a select alias sorts by that item's output column, also
+// when a * item before it expands to several columns.
+func TestOrderByAliasAfterStar(t *testing.T) {
+	db := New()
+	mustExec(t, db, `CREATE TABLE s (a INTEGER, b INTEGER); INSERT INTO s VALUES (1, 1), (2, 3), (3, 2)`)
+	res := mustExec(t, db, `SELECT *, 10 - a AS k FROM s ORDER BY k`)
+	expectRows(t, res, "3,2,7", "2,3,8", "1,1,9")
+}

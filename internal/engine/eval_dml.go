@@ -122,7 +122,8 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
 	if alias == "" {
 		alias = s.Table
 	}
-	scope := &rowScope{parent: ctx.scope, entries: []scopeEntry{{alias: alias, cols: t.Schema.Names()}}}
+	scope := newBoundScope(ctx.scope, []entryMeta{{alias: alias, cols: t.Schema.Names()}})
+	scope.row = make([][]types.Value, 1)
 	rctx := ctx.withScope(scope)
 
 	ords := make([]int, len(s.Sets))
@@ -137,7 +138,7 @@ func (db *DB) execUpdate(ctx *execCtx, s *sqlast.UpdateStmt) (*Result, error) {
 	l := db.dmlLogFor(ctx, t)
 	affected := 0
 	for idx, row := range t.Rows {
-		scope.entries[0].row = row
+		scope.row[0] = row
 		if s.Where != nil {
 			v, err := db.evalExpr(rctx, s.Where)
 			if err != nil {
@@ -190,7 +191,8 @@ func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (*Result, error) {
 	if alias == "" {
 		alias = s.Table
 	}
-	scope := &rowScope{parent: ctx.scope, entries: []scopeEntry{{alias: alias, cols: t.Schema.Names()}}}
+	scope := newBoundScope(ctx.scope, []entryMeta{{alias: alias, cols: t.Schema.Names()}})
+	scope.row = make([][]types.Value, 1)
 	rctx := ctx.withScope(scope)
 
 	l := db.dmlLogFor(ctx, t)
@@ -198,7 +200,7 @@ func (db *DB) execDelete(ctx *execCtx, s *sqlast.DeleteStmt) (*Result, error) {
 	kept := t.Rows[:0:0]
 	var removed []int
 	for i, row := range t.Rows {
-		scope.entries[0].row = row
+		scope.row[0] = row
 		del := true
 		if s.Where != nil {
 			v, err := db.evalExpr(rctx, s.Where)

@@ -32,74 +32,16 @@ func (ctx *execCtx) withScope(s *rowScope) *execCtx {
 	return &c
 }
 
-// scopeEntry binds one correlation name to a current row.
-type scopeEntry struct {
-	alias string
-	cols  []string
-	row   []types.Value
-}
-
-// rowScope is one level of FROM-clause bindings; parent points to the
-// enclosing query's scope (for correlated subqueries).
+// rowScope is one level of FROM-clause bindings — the layout of a
+// site and the row currently bound to it; parent points to the
+// enclosing query's scope (for correlated subqueries). Evaluation paths
+// that bind their expressions at plan build (bind.go) index rows
+// directly and build a rowScope only where they hand a row to the
+// interpretive evaluator.
 type rowScope struct {
-	parent  *rowScope
-	entries []scopeEntry
-	idx     *scopeIdx // built once probes shows the scope is hot
-	probes  int
-}
-
-// scopeIdxThreshold is the number of linear-scan lookups a scope level
-// serves before it builds its name index: scopes are usually short-
-// lived (one routine call, one subquery), and two map allocations cost
-// more than a handful of case-folding scans. Only scopes that keep
-// resolving names — scan and join loops over many rows — cross it.
-const scopeIdxThreshold = 64
-
-// scopeRef locates one column within a scope level; entry -1 marks an
-// unqualified name that is ambiguous at this level.
-type scopeRef struct{ entry, col int }
-
-// scopeIdx indexes one scope level's names. Scopes are reused across
-// every row of a scan or join loop (bind replaces only the row
-// pointers), so building the maps once replaces a case-folding scan of
-// every entry and column per row with two hash probes.
-type scopeIdx struct {
-	cols    map[string]scopeRef
-	byAlias map[string]map[string]scopeRef // alias → col → ref, first entry wins
-}
-
-func (sc *rowScope) index() *scopeIdx {
-	if sc.idx != nil {
-		return sc.idx
-	}
-	ix := &scopeIdx{
-		cols:    make(map[string]scopeRef),
-		byAlias: make(map[string]map[string]scopeRef, len(sc.entries)),
-	}
-	for i := range sc.entries {
-		e := &sc.entries[i]
-		al := strings.ToLower(e.alias)
-		var am map[string]scopeRef
-		if _, seen := ix.byAlias[al]; !seen {
-			am = make(map[string]scopeRef, len(e.cols))
-			ix.byAlias[al] = am
-		}
-		for j, c := range e.cols {
-			lc := strings.ToLower(c)
-			if _, dup := ix.cols[lc]; dup {
-				ix.cols[lc] = scopeRef{entry: -1, col: -1}
-			} else {
-				ix.cols[lc] = scopeRef{entry: i, col: j}
-			}
-			if am != nil {
-				if _, dup := am[lc]; !dup {
-					am[lc] = scopeRef{entry: i, col: j}
-				}
-			}
-		}
-	}
-	sc.idx = ix
-	return ix
+	parent *rowScope
+	metas  []entryMeta
+	row    [][]types.Value
 }
 
 // lookup resolves a possibly qualified column reference against the
@@ -107,74 +49,76 @@ func (sc *rowScope) index() *scopeIdx {
 // scope (the caller may then try PSM variables).
 func (s *rowScope) lookup(tbl, col string) (types.Value, bool, error) {
 	for sc := s; sc != nil; sc = sc.parent {
-		if sc.idx == nil {
-			if sc.probes < scopeIdxThreshold {
-				sc.probes++
-				v, ok, stop, err := sc.lookupScan(tbl, col)
-				if stop {
-					return v, ok, err
-				}
-				continue
-			}
-			sc.index()
+		e, c, err := resolveColumn(sc.metas, tbl, col)
+		if err != nil {
+			return types.Null, false, err
 		}
-		ix := sc.idx
-		if tbl != "" {
-			am, ok := ix.byAlias[strings.ToLower(tbl)]
-			if !ok {
-				continue
-			}
-			if r, ok := am[strings.ToLower(col)]; ok {
-				return sc.entries[r.entry].row[r.col], true, nil
-			}
-			return types.Null, false, fmt.Errorf("column %s.%s does not exist", tbl, col)
-		}
-		if r, ok := ix.cols[strings.ToLower(col)]; ok {
-			if r.entry < 0 {
-				return types.Null, false, fmt.Errorf("column reference %s is ambiguous", col)
-			}
-			return sc.entries[r.entry].row[r.col], true, nil
+		if e >= 0 {
+			return sc.row[e][c], true, nil
 		}
 	}
 	return types.Null, false, nil
 }
 
-// lookupScan is the linear-scan resolution of one scope level; stop
-// reports that resolution ends here (found, or a hard error) rather
-// than continuing to the parent level.
-func (sc *rowScope) lookupScan(tbl, col string) (v types.Value, ok, stop bool, err error) {
+// resolveColumn resolves a column reference against one scope level's
+// layout: the entry and column it names, e = -1 when the name is not
+// local (resolution continues in the enclosing scope), or a hard error.
+// A qualifier selects the first entry with that alias; an unqualified
+// name must match exactly one column of the level.
+func resolveColumn(metas []entryMeta, tbl, col string) (e, c int, err error) {
 	if tbl != "" {
-		for i := range sc.entries {
-			e := &sc.entries[i]
-			if strings.EqualFold(e.alias, tbl) {
-				for j, c := range e.cols {
-					if strings.EqualFold(c, col) {
-						return e.row[j], true, true, nil
+		for i := range metas {
+			m := &metas[i]
+			if strings.EqualFold(m.alias, tbl) {
+				for j, mc := range m.cols {
+					if strings.EqualFold(mc, col) {
+						return i, j, nil
 					}
 				}
-				return types.Null, false, true, fmt.Errorf("column %s.%s does not exist", tbl, col)
+				return -1, -1, fmt.Errorf("column %s.%s does not exist", tbl, col)
 			}
 		}
-		return types.Null, false, false, nil
+		return -1, -1, nil
 	}
-	foundIdx := -1
-	var val types.Value
-	for i := range sc.entries {
-		e := &sc.entries[i]
-		for j, c := range e.cols {
-			if strings.EqualFold(c, col) {
-				if foundIdx >= 0 {
-					return types.Null, false, true, fmt.Errorf("column reference %s is ambiguous", col)
+	e, c = -1, -1
+	for i := range metas {
+		for j, mc := range metas[i].cols {
+			if strings.EqualFold(mc, col) {
+				if e >= 0 {
+					return -1, -1, fmt.Errorf("column reference %s is ambiguous", col)
 				}
-				foundIdx = i
-				val = e.row[j]
+				e, c = i, j
 			}
 		}
 	}
-	if foundIdx >= 0 {
-		return val, true, true, nil
+	return e, c, nil
+}
+
+// resolveOuter resolves a name that is not a column of the evaluating
+// site: through the enclosing scope chain, then (unqualified names) the
+// PSM variables. key is col lowercased, or "" to lower it on demand.
+func resolveOuter(ctx *execCtx, tbl, col, key string) (types.Value, error) {
+	if ctx.scope != nil {
+		v, ok, err := ctx.scope.lookup(tbl, col)
+		if err != nil {
+			return types.Null, err
+		}
+		if ok {
+			return v, nil
+		}
 	}
-	return types.Null, false, false, nil
+	if tbl != "" {
+		return types.Null, fmt.Errorf("column %s.%s not found", tbl, col)
+	}
+	if ctx.vars != nil {
+		if key == "" {
+			key = strings.ToLower(col)
+		}
+		if v, ok := ctx.vars.getKey(key); ok {
+			return v, nil
+		}
+	}
+	return types.Null, fmt.Errorf("name %s is neither a column in scope nor a variable", col)
 }
 
 // evalExpr evaluates a scalar expression in ctx.
@@ -183,24 +127,7 @@ func (db *DB) evalExpr(ctx *execCtx, e sqlast.Expr) (types.Value, error) {
 	case *sqlast.Literal:
 		return x.Val, nil
 	case *sqlast.ColumnRef:
-		if ctx.scope != nil {
-			v, ok, err := ctx.scope.lookup(x.Table, x.Column)
-			if err != nil {
-				return types.Null, err
-			}
-			if ok {
-				return v, nil
-			}
-		}
-		if x.Table == "" && ctx.vars != nil {
-			if v, ok := ctx.vars.get(x.Column); ok {
-				return v, nil
-			}
-		}
-		if x.Table != "" {
-			return types.Null, fmt.Errorf("column %s.%s not found", x.Table, x.Column)
-		}
-		return types.Null, fmt.Errorf("name %s is neither a column in scope nor a variable", x.Column)
+		return resolveOuter(ctx, x.Table, x.Column, "")
 	case *sqlast.BinaryExpr:
 		return db.evalBinary(ctx, x)
 	case *sqlast.UnaryExpr:
@@ -208,13 +135,7 @@ func (db *DB) evalExpr(ctx *execCtx, e sqlast.Expr) (types.Value, error) {
 		if err != nil {
 			return types.Null, err
 		}
-		switch x.Op {
-		case "NOT":
-			return types.TriboolFromValue(v).Not().Value(), nil
-		case "-":
-			return types.Arith("-", types.NewInt(0), v)
-		}
-		return types.Null, fmt.Errorf("unknown unary operator %q", x.Op)
+		return unaryValue(x.Op, v)
 	case *sqlast.IsNullExpr:
 		v, err := db.evalExpr(ctx, x.X)
 		if err != nil {
@@ -234,11 +155,7 @@ func (db *DB) evalExpr(ctx *execCtx, e sqlast.Expr) (types.Value, error) {
 		if err != nil {
 			return types.Null, err
 		}
-		r := types.CompareOp(">=", v, lo).And(types.CompareOp("<=", v, hi))
-		if x.Not {
-			r = r.Not()
-		}
-		return r.Value(), nil
+		return betweenValue(v, lo, hi, x.Not), nil
 	case *sqlast.InExpr:
 		return db.evalIn(ctx, x)
 	case *sqlast.ExistsExpr:
@@ -256,11 +173,7 @@ func (db *DB) evalExpr(ctx *execCtx, e sqlast.Expr) (types.Value, error) {
 		if err != nil {
 			return types.Null, err
 		}
-		if v.IsNull() || pat.IsNull() {
-			return types.Null, nil
-		}
-		m := likeMatch(v.Text(), pat.Text())
-		return types.NewBool(m != x.Not), nil
+		return likeValue(v, pat, x.Not), nil
 	case *sqlast.CaseExpr:
 		return db.evalCase(ctx, x)
 	case *sqlast.CastExpr:
@@ -340,8 +253,7 @@ func (db *DB) evalIn(ctx *execCtx, x *sqlast.InExpr) (types.Value, error) {
 	if err != nil {
 		return types.Null, err
 	}
-	result := types.False
-	sawNull := v.IsNull()
+	in := newInAcc(v)
 	if x.Sub != nil {
 		res, err := db.evalQuery(ctx, x.Sub)
 		if err != nil {
@@ -351,12 +263,7 @@ func (db *DB) evalIn(ctx *execCtx, x *sqlast.InExpr) (types.Value, error) {
 			return types.Null, fmt.Errorf("IN subquery must return one column, got %d", len(res.Cols))
 		}
 		for _, r := range res.Rows {
-			switch types.CompareOp("=", v, r[0]) {
-			case types.True:
-				result = types.True
-			case types.Unknown:
-				sawNull = true
-			}
+			in.add(r[0])
 		}
 	} else {
 		for _, le := range x.List {
@@ -364,21 +271,69 @@ func (db *DB) evalIn(ctx *execCtx, x *sqlast.InExpr) (types.Value, error) {
 			if err != nil {
 				return types.Null, err
 			}
-			switch types.CompareOp("=", v, lv) {
-			case types.True:
-				result = types.True
-			case types.Unknown:
-				sawNull = true
-			}
+			in.add(lv)
 		}
 	}
-	if result != types.True && sawNull {
-		result = types.Unknown
+	return in.value(x.Not), nil
+}
+
+// inAcc accumulates the 3VL membership test of an IN predicate.
+type inAcc struct {
+	v       types.Value
+	result  types.Tribool
+	sawNull bool
+}
+
+func newInAcc(v types.Value) inAcc {
+	return inAcc{v: v, result: types.False, sawNull: v.IsNull()}
+}
+
+func (a *inAcc) add(lv types.Value) {
+	switch types.CompareOp("=", a.v, lv) {
+	case types.True:
+		a.result = types.True
+	case types.Unknown:
+		a.sawNull = true
 	}
-	if x.Not {
-		result = result.Not()
+}
+
+func (a *inAcc) value(not bool) types.Value {
+	r := a.result
+	if r != types.True && a.sawNull {
+		r = types.Unknown
 	}
-	return result.Value(), nil
+	if not {
+		r = r.Not()
+	}
+	return r.Value()
+}
+
+// unaryValue applies a unary operator to its evaluated operand.
+func unaryValue(op string, v types.Value) (types.Value, error) {
+	switch op {
+	case "NOT":
+		return types.TriboolFromValue(v).Not().Value(), nil
+	case "-":
+		return types.Arith("-", types.NewInt(0), v)
+	}
+	return types.Null, fmt.Errorf("unknown unary operator %q", op)
+}
+
+// betweenValue is [NOT] BETWEEN over evaluated operands.
+func betweenValue(v, lo, hi types.Value, not bool) types.Value {
+	r := types.CompareOp(">=", v, lo).And(types.CompareOp("<=", v, hi))
+	if not {
+		r = r.Not()
+	}
+	return r.Value()
+}
+
+// likeValue is [NOT] LIKE over evaluated operands.
+func likeValue(v, pat types.Value, not bool) types.Value {
+	if v.IsNull() || pat.IsNull() {
+		return types.Null
+	}
+	return types.NewBool(likeMatch(v.Text(), pat.Text()) != not)
 }
 
 func (db *DB) evalCase(ctx *execCtx, x *sqlast.CaseExpr) (types.Value, error) {

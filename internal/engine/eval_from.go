@@ -32,35 +32,24 @@ type rel struct {
 	prepEnt *prepRel
 }
 
-// bindScope builds a rowScope over the relation's entries for row i,
-// chained to parent.
+// bindScope builds a rowScope over metas bound to row, chained to
+// parent. Bound evaluation (bind.go) reads rows by position and builds
+// one only for a node that needs the row as a name scope.
 func bindScope(parent *rowScope, metas []entryMeta, row [][]types.Value) *rowScope {
-	s := &rowScope{parent: parent, entries: make([]scopeEntry, len(metas))}
-	for i, m := range metas {
-		s.entries[i] = scopeEntry{alias: m.alias, cols: m.cols, row: row[i]}
-	}
-	return s
+	return &rowScope{parent: parent, metas: metas, row: row}
 }
 
-// newBoundScope builds a rowScope over metas with no rows bound yet;
-// bind points it at successive rows. Reusing one scope across a loop
-// avoids a per-row allocation on the evaluator's hottest paths (safe
-// because nothing retains a scope past the predicate evaluation:
-// routine calls start fresh frames without the scope chain, and
-// subqueries are evaluated eagerly).
+// newBoundScope builds a rowScope over metas with no row bound yet;
+// bind points it at successive rows. The interpretive loops that still
+// resolve names per row — evalGrouped and the UPDATE/DELETE scans —
+// reuse one scope across a loop (safe because nothing retains a scope
+// past the evaluation: routine calls start fresh frames without the
+// scope chain, and subqueries are evaluated eagerly).
 func newBoundScope(parent *rowScope, metas []entryMeta) *rowScope {
-	s := &rowScope{parent: parent, entries: make([]scopeEntry, len(metas))}
-	for i, m := range metas {
-		s.entries[i] = scopeEntry{alias: m.alias, cols: m.cols}
-	}
-	return s
+	return &rowScope{parent: parent, metas: metas}
 }
 
-func (s *rowScope) bind(row [][]types.Value) {
-	for i := range s.entries {
-		s.entries[i].row = row[i]
-	}
-}
+func (s *rowScope) bind(row [][]types.Value) { s.row = row }
 
 // sourceMetas computes the correlation entries a table reference will
 // contribute, without loading data.
@@ -205,12 +194,15 @@ func (db *DB) inferQueryCols(ctx *execCtx, q sqlast.QueryExpr) ([]string, error)
 // compares a column with an expression that is constant w.r.t. this
 // query level. A table function is called once and its collection
 // scanned like a stored table.
-func (db *DB) loadSource(ctx *execCtx, ref sqlast.TableRef, metas []entryMeta, pushdown []*conjunct) (*rel, error) {
+//
+// push is bound against metas. call is the plan's bound form of a
+// table-function ref (nil: bind it now, as inside a JOIN tree).
+func (db *DB) loadSource(ctx *execCtx, ref sqlast.TableRef, metas []entryMeta, push filter, call *tfCall) (*rel, error) {
 	switch r := ref.(type) {
 	case *sqlast.BaseTable:
 		t := db.resolveTable(ctx, r.Name)
 		if t != nil {
-			return db.scanTable(ctx, t, metas[0], pushdown)
+			return db.scanTable(ctx, t, metas[0], push)
 		}
 		if v := db.Cat.View(r.Name); v != nil {
 			if ctx.depth > db.MaxRecursion {
@@ -222,10 +214,10 @@ func (db *DB) loadSource(ctx *execCtx, ref sqlast.TableRef, metas []entryMeta, p
 			if err != nil {
 				return nil, err
 			}
-			return db.resultToRel(ctx, res, metas[0], pushdown)
+			return db.resultToRel(ctx, res, metas[0], push)
 		}
 		if st := db.systemTable(r.Name); st != nil {
-			return db.scanTable(ctx, st, metas[0], pushdown)
+			return db.scanTable(ctx, st, metas[0], push)
 		}
 		return nil, fmt.Errorf("table or view %s does not exist", r.Name)
 	case *sqlast.DerivedTable:
@@ -233,18 +225,21 @@ func (db *DB) loadSource(ctx *execCtx, ref sqlast.TableRef, metas []entryMeta, p
 		if err != nil {
 			return nil, err
 		}
-		return db.resultToRel(ctx, res, metas[0], pushdown)
+		return db.resultToRel(ctx, res, metas[0], push)
 	case *sqlast.TableFunc:
-		t, err := db.tableFunc(ctx, r, metas[0])
+		if call == nil {
+			call = (&binder{db: db}).bindTableFunc(r)
+		}
+		t, err := db.tableFunc(ctx, call, nil, metas[0])
 		if err != nil {
 			return nil, err
 		}
 		if t == nil {
 			return &rel{metas: metas}, nil
 		}
-		return db.scanTable(ctx, t, metas[0], pushdown)
+		return db.scanTable(ctx, t, metas[0], push)
 	case *sqlast.JoinExpr:
-		return db.evalJoinRef(ctx, r, pushdown)
+		return db.evalJoinRef(ctx, r, push)
 	}
 	return nil, fmt.Errorf("engine: unsupported table reference %T", ref)
 }
@@ -263,10 +258,9 @@ func (db *DB) resolveTable(ctx *execCtx, name string) *storage.Table {
 // function result) by pushdown conjuncts, preferring a hash-index path
 // for an equality on a column. meta.cols name t's columns by position;
 // a table function's column aliases may rename them.
-func (db *DB) scanTable(ctx *execCtx, t *storage.Table, meta entryMeta, pushdown []*conjunct) (*rel, error) {
+func (db *DB) scanTable(ctx *execCtx, t *storage.Table, meta entryMeta, push filter) (*rel, error) {
 	out := &rel{metas: []entryMeta{meta}, tab: t}
-	scope := &rowScope{parent: ctx.scope, entries: []scopeEntry{{alias: meta.alias, cols: meta.cols}}}
-	sctx := ctx.withScope(scope)
+	pushdown := push.conj
 
 	// Index path: find conjunct of form <col> = <constant-here expr>.
 	var candidates []int
@@ -304,21 +298,10 @@ func (db *DB) scanTable(ctx *execCtx, t *storage.Table, meta entryMeta, pushdown
 		break
 	}
 
+	one := make([][]types.Value, 1)
 	check := func(row []types.Value) (bool, error) {
-		scope.entries[0].row = row
-		for i, c := range pushdown {
-			if i == usedIdx {
-				continue
-			}
-			v, err := db.evalExpr(sctx, c.expr)
-			if err != nil {
-				return false, err
-			}
-			if types.TriboolFromValue(v) != types.True {
-				return false, nil
-			}
-		}
-		return true, nil
+		one[0] = row
+		return push.pass(ctx, one, usedIdx)
 	}
 
 	scanOrds := func(ords []int) error {
@@ -464,7 +447,7 @@ func renderSQL(e sqlast.Expr) string {
 
 // resultToRel wraps a materialized result as a relation, applying
 // pushdown filters.
-func (db *DB) resultToRel(ctx *execCtx, res *Result, meta entryMeta, pushdown []*conjunct) (*rel, error) {
+func (db *DB) resultToRel(ctx *execCtx, res *Result, meta entryMeta, push filter) (*rel, error) {
 	if len(meta.cols) != len(res.Cols) && len(meta.cols) > 0 && len(res.Cols) > 0 {
 		if len(meta.cols) != len(res.Cols) {
 			return nil, fmt.Errorf("correlation %s declares %d columns but query produces %d",
@@ -472,20 +455,12 @@ func (db *DB) resultToRel(ctx *execCtx, res *Result, meta entryMeta, pushdown []
 		}
 	}
 	out := &rel{metas: []entryMeta{meta}}
-	scope := &rowScope{parent: ctx.scope, entries: []scopeEntry{{alias: meta.alias, cols: meta.cols}}}
-	sctx := ctx.withScope(scope)
+	one := make([][]types.Value, 1)
 	for _, row := range res.Rows {
-		scope.entries[0].row = row
-		keep := true
-		for _, c := range pushdown {
-			v, err := db.evalExpr(sctx, c.expr)
-			if err != nil {
-				return nil, err
-			}
-			if types.TriboolFromValue(v) != types.True {
-				keep = false
-				break
-			}
+		one[0] = row
+		keep, err := push.pass(ctx, one, -1)
+		if err != nil {
+			return nil, err
 		}
 		if keep {
 			out.rows = append(out.rows, [][]types.Value{row})
@@ -494,8 +469,10 @@ func (db *DB) resultToRel(ctx *execCtx, res *Result, meta entryMeta, pushdown []
 	return out, nil
 }
 
-// evalJoinRef evaluates an explicit JOIN ... ON tree.
-func (db *DB) evalJoinRef(ctx *execCtx, j *sqlast.JoinExpr, pushdown []*conjunct) (*rel, error) {
+// evalJoinRef evaluates an explicit JOIN ... ON tree. push is bound
+// against the tree's combined metas; the conjuncts it routes to one
+// side and the ON conjuncts are bound here, once per execution.
+func (db *DB) evalJoinRef(ctx *execCtx, j *sqlast.JoinExpr, push filter) (*rel, error) {
 	lm, err := db.sourceMetas(ctx, j.L)
 	if err != nil {
 		return nil, err
@@ -504,57 +481,48 @@ func (db *DB) evalJoinRef(ctx *execCtx, j *sqlast.JoinExpr, pushdown []*conjunct
 	if err != nil {
 		return nil, err
 	}
-	var lpush, rpush []*conjunct
-	for _, c := range pushdown {
+	var lc, rc []*conjunct
+	for _, c := range push.conj {
 		switch {
 		case c.subsetOf(lm):
-			lpush = append(lpush, c)
+			lc = append(lc, c)
 		case c.subsetOf(rm) && j.Type == "INNER":
-			rpush = append(rpush, c)
+			rc = append(rc, c)
 		}
+	}
+	lb, rb := &binder{db: db, layout: lm}, &binder{db: db, layout: rm}
+	lpush, rpush := lb.bindFilter(lc), rb.bindFilter(rc)
+	if err := firstErr(lb.err, rb.err); err != nil {
+		return nil, err
 	}
 	// A table function inside a JOIN tree sees only the outer scope
 	// (it is not lateral to the join's left side).
-	left, err := db.loadSource(ctx, j.L, lm, lpush)
+	left, err := db.loadSource(ctx, j.L, lm, lpush, nil)
 	if err != nil {
 		return nil, err
 	}
-	right, err := db.loadSource(ctx, j.R, rm, rpush)
+	right, err := db.loadSource(ctx, j.R, rm, rpush, nil)
 	if err != nil {
 		return nil, err
 	}
 	onConj := db.splitConjuncts(j.On, append(append([]entryMeta{}, lm...), rm...))
-	combined, err := db.joinRels(ctx, left, right, onConj, j.Type == "LEFT")
+	jp, err := db.planJoin(nil, lm, rm, onConj)
 	if err != nil {
 		return nil, err
 	}
-	// Residual pushdown (conjuncts spanning both sides already in ON;
-	// any remaining pushdown conjunct applies post-join for INNER).
-	var rest []*conjunct
-	for _, c := range pushdown {
-		if !contains(lpush, c) && !contains(rpush, c) {
-			rest = append(rest, c)
-		}
+	combined, err := db.joinRels(ctx, left, right, jp, j.Type == "LEFT")
+	if err != nil {
+		return nil, err
 	}
-	if len(rest) > 0 {
-		if j.Type == "LEFT" {
-			// Applied later by the caller as residual; re-filter here
-			// would be wrong only if conjunct references the null side;
-			// keep conservative and filter after join.
-		}
+	// Residual pushdown: conjuncts spanning both sides (or, for LEFT,
+	// the null side) filter the joined rows.
+	rest := push.subset(func(c *conjunct) bool { return !contains(lc, c) && !contains(rc, c) })
+	if len(rest.eval) > 0 {
 		filtered := combined.rows[:0:0]
 		for _, row := range combined.rows {
-			scope := bindScope(ctx.scope, combined.metas, row)
-			keep := true
-			for _, c := range rest {
-				v, err := db.evalExpr(ctx.withScope(scope), c.expr)
-				if err != nil {
-					return nil, err
-				}
-				if types.TriboolFromValue(v) != types.True {
-					keep = false
-					break
-				}
+			keep, err := rest.pass(ctx, row, -1)
+			if err != nil {
+				return nil, err
 			}
 			if keep {
 				filtered = append(filtered, row)
@@ -563,6 +531,15 @@ func (db *DB) evalJoinRef(ctx *execCtx, j *sqlast.JoinExpr, pushdown []*conjunct
 		combined.rows = filtered
 	}
 	return combined, nil
+}
+
+func firstErr(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func contains(cs []*conjunct, c *conjunct) bool {
@@ -575,15 +552,17 @@ func contains(cs []*conjunct, c *conjunct) bool {
 }
 
 // tableFunc invokes a FROM-clause table function and returns its
-// collection, or nil for a NULL result. This is a FROM call site: a
-// write-free routine's result may be served from the statement memo
-// (fnmemo.go), so callers read the collection and never mutate it.
-func (db *DB) tableFunc(ctx *execCtx, tf *sqlast.TableFunc, meta entryMeta) (*storage.Table, error) {
-	r := db.Cat.Routine(tf.Call.Name)
+// collection, or nil for a NULL result; call.args are evaluated over
+// row. This is a FROM call site: a write-free routine's result may be
+// served from the statement memo (fnmemo.go), so callers read the
+// collection and never mutate it.
+func (db *DB) tableFunc(ctx *execCtx, call *tfCall, row [][]types.Value, meta entryMeta) (*storage.Table, error) {
+	name := call.tf.Call.Name
+	r := call.r
 	if r == nil || r.Kind != storage.KindFunction {
-		return nil, fmt.Errorf("table function %s does not exist", tf.Call.Name)
+		return nil, fmt.Errorf("table function %s does not exist", name)
 	}
-	v, err := db.callFunction(ctx, r, tf.Call.Args, true)
+	v, err := db.callBound(ctx, r, call.args, row, true)
 	if err != nil {
 		return nil, err
 	}
@@ -591,15 +570,15 @@ func (db *DB) tableFunc(ctx *execCtx, tf *sqlast.TableFunc, meta entryMeta) (*st
 		return nil, nil
 	}
 	if v.Kind != types.KindTable {
-		return nil, fmt.Errorf("function %s used in FROM must return a collection", tf.Call.Name)
+		return nil, fmt.Errorf("function %s used in FROM must return a collection", name)
 	}
 	t, ok := v.Aux.(*storage.Table)
 	if !ok {
-		return nil, fmt.Errorf("function %s returned an invalid collection", tf.Call.Name)
+		return nil, fmt.Errorf("function %s returned an invalid collection", name)
 	}
 	if len(t.Schema.Cols) != len(meta.cols) {
 		return nil, fmt.Errorf("function %s returned %d columns, expected %d",
-			tf.Call.Name, len(t.Schema.Cols), len(meta.cols))
+			name, len(t.Schema.Cols), len(meta.cols))
 	}
 	return t, nil
 }
@@ -619,17 +598,30 @@ func (db *DB) correlatedCall(tf *sqlast.TableFunc, prior []entryMeta) bool {
 	return false
 }
 
-// joinRels joins two relations on the given conjuncts, hash-joining on
-// equality conjuncts when possible. leftOuter preserves unmatched left
-// rows with NULL extension.
-func (db *DB) joinRels(ctx *execCtx, left, right *rel, on []*conjunct, leftOuter bool) (*rel, error) {
-	out := &rel{metas: append(append([]entryMeta{}, left.metas...), right.metas...)}
+// joinPlan is a join of a left and a right layout bound once: the
+// sides of its equality conjuncts (hash-join keys, each side bound
+// against its own layout), the remaining conjuncts bound against the
+// combined layout in cost order, and — for the interval stab probe —
+// the left-layout forms of rest comparison operands that face a
+// column.
+type joinPlan struct {
+	lkeys, rkeys []boundExpr
+	// rsig is the rendered right-key signature under which a prepared
+	// right relation caches its hash table; "" when a key is not a
+	// plain column (the table is then built per execution).
+	rsig string
+	rest filter
+	stab map[sqlast.Expr]boundExpr
+}
 
+// planJoin splits on into hash-join keys and rest conjuncts and binds
+// them; pin is nil when the plan serves one execution.
+func (db *DB) planJoin(pin *storage.Pin, lm, rm []entryMeta, on []*conjunct) (*joinPlan, error) {
 	// split equi conjuncts: one side ⊆ left metas, other ⊆ right metas
 	var lkeys, rkeys []sqlast.Expr
 	var rest []*conjunct
 	for _, c := range on {
-		if l, r, ok := c.equiSides(left.metas, right.metas); ok {
+		if l, r, ok := c.equiSides(lm, rm); ok {
 			lkeys = append(lkeys, l)
 			rkeys = append(rkeys, r)
 		} else {
@@ -637,25 +629,57 @@ func (db *DB) joinRels(ctx *execCtx, left, right *rel, on []*conjunct, leftOuter
 		}
 	}
 	db.orderByCost(rest)
-
-	cscope := newBoundScope(ctx.scope, out.metas)
-	cctx := ctx.withScope(cscope)
-	checkRest := func(row [][]types.Value) (bool, error) {
-		if len(rest) == 0 {
-			return true, nil
-		}
-		cscope.bind(row)
-		for _, c := range rest {
-			v, err := db.evalExpr(cctx, c.expr)
-			if err != nil {
-				return false, err
-			}
-			if types.TriboolFromValue(v) != types.True {
-				return false, nil
-			}
-		}
-		return true, nil
+	lb := &binder{db: db, layout: lm, pin: pin}
+	rb := &binder{db: db, layout: rm, pin: pin}
+	cb := &binder{db: db, layout: append(append([]entryMeta{}, lm...), rm...), pin: pin}
+	jp := &joinPlan{lkeys: lb.bindAll(lkeys), rkeys: rb.bindAll(rkeys), rest: cb.bindFilter(rest)}
+	if err := firstErr(lb.err, rb.err, cb.err); err != nil {
+		return nil, err
 	}
+	for _, k := range rkeys {
+		s := renderSQL(k)
+		if _, isCol := k.(*sqlast.ColumnRef); !isCol || s == "" {
+			jp.rsig = ""
+			break
+		}
+		jp.rsig += s + "|"
+	}
+	// Stab operands are only candidates: one that is not evaluable
+	// against the left row falls back to the full inner iteration, so
+	// their bind errors are not the plan's.
+	sb := &binder{db: db, layout: lm, pin: pin}
+	for _, c := range rest {
+		b, ok := c.expr.(*sqlast.BinaryExpr)
+		if !ok {
+			continue
+		}
+		var x sqlast.Expr
+		switch b.Op {
+		case "<=", ">":
+			if _, isCol := b.L.(*sqlast.ColumnRef); isCol {
+				x = b.R
+			}
+		case ">=", "<":
+			if _, isCol := b.R.(*sqlast.ColumnRef); isCol {
+				x = b.L
+			}
+		}
+		if x != nil {
+			if jp.stab == nil {
+				jp.stab = map[sqlast.Expr]boundExpr{}
+			}
+			jp.stab[x] = sb.bind(x)
+		}
+	}
+	return jp, nil
+}
+
+// joinRels joins two relations under a join plan bound against their
+// layouts, hash-joining on its equality keys when it has any.
+// leftOuter preserves unmatched left rows with NULL extension.
+func (db *DB) joinRels(ctx *execCtx, left, right *rel, jp *joinPlan, leftOuter bool) (*rel, error) {
+	out := &rel{metas: append(append([]entryMeta{}, left.metas...), right.metas...)}
+	rest := jp.rest
 
 	nullRight := make([][]types.Value, len(right.metas))
 	for i, m := range right.metas {
@@ -663,18 +687,15 @@ func (db *DB) joinRels(ctx *execCtx, left, right *rel, on []*conjunct, leftOuter
 		nullRight[i] = nr
 	}
 
-	if len(lkeys) > 0 {
+	if len(jp.lkeys) > 0 {
 		// hash join (the build side is shared across a fragment batch
 		// when the right relation came from the prepared plan)
-		index, err := db.hashIndexFor(ctx, right, rkeys)
+		index, err := db.hashIndexFor(ctx, right, jp)
 		if err != nil {
 			return nil, err
 		}
-		lscope := newBoundScope(ctx.scope, left.metas)
-		lctx := ctx.withScope(lscope)
 		for _, lrow := range left.rows {
-			lscope.bind(lrow)
-			key, null, err := db.keyOf(lctx, lkeys)
+			key, null, err := keyOf(ctx, jp.lkeys, lrow)
 			matched := false
 			if err != nil {
 				return nil, err
@@ -682,7 +703,7 @@ func (db *DB) joinRels(ctx *execCtx, left, right *rel, on []*conjunct, leftOuter
 			if !null {
 				for _, rrow := range index[key] {
 					combined := append(append([][]types.Value{}, lrow...), rrow...)
-					ok, err := checkRest(combined)
+					ok, err := rest.pass(ctx, combined, -1)
 					if err != nil {
 						return nil, err
 					}
@@ -708,15 +729,12 @@ func (db *DB) joinRels(ctx *execCtx, left, right *rel, on []*conjunct, leftOuter
 	// the nested loop's.
 	if right.tab != nil && len(right.metas) == 1 &&
 		len(right.ords) == len(right.rows) && !db.DisableIndexes {
-		if x := findStab(rest, right.tab, right.metas[0].alias); x != nil {
-			lscope := newBoundScope(ctx.scope, left.metas)
-			lctx := ctx.withScope(lscope)
+		if x := jp.stab[findStab(rest.conj, right.tab, right.metas[0].alias)]; x != nil {
 			var cand []int
 			for _, lrow := range left.rows {
-				lscope.bind(lrow)
 				probed := false
 				cand = cand[:0]
-				if v, err := db.evalExpr(lctx, x); err == nil &&
+				if v, err := x(ctx, lrow); err == nil &&
 					(v.Kind == types.KindDate || v.Kind == types.KindInt) {
 					if ords, ok := right.tab.Overlapping(v.I, v.I); ok {
 						db.Stats.IntervalProbes++
@@ -738,7 +756,7 @@ func (db *DB) joinRels(ctx *execCtx, left, right *rel, on []*conjunct, leftOuter
 				matched := false
 				try := func(rrow [][]types.Value) error {
 					combined := append(append([][]types.Value{}, lrow...), rrow...)
-					ok, err := checkRest(combined)
+					ok, err := rest.pass(ctx, combined, -1)
 					if err != nil {
 						return err
 					}
@@ -776,7 +794,7 @@ func (db *DB) joinRels(ctx *execCtx, left, right *rel, on []*conjunct, leftOuter
 		matched := false
 		for _, rrow := range right.rows {
 			combined := append(append([][]types.Value{}, lrow...), rrow...)
-			ok, err := checkRest(combined)
+			ok, err := rest.pass(ctx, combined, -1)
 			if err != nil {
 				return nil, err
 			}
@@ -792,12 +810,13 @@ func (db *DB) joinRels(ctx *execCtx, left, right *rel, on []*conjunct, leftOuter
 	return out, nil
 }
 
-// keyOf evaluates key expressions and returns a composite hash key;
-// null=true when any key is NULL (such rows never join).
-func (db *DB) keyOf(ctx *execCtx, keys []sqlast.Expr) (string, bool, error) {
+// keyOf evaluates bound key expressions over row and returns a
+// composite hash key; null=true when any key is NULL (such rows never
+// join).
+func keyOf(ctx *execCtx, keys []boundExpr, row [][]types.Value) (string, bool, error) {
 	var b strings.Builder
 	for _, k := range keys {
-		v, err := db.evalExpr(ctx, k)
+		v, err := k(ctx, row)
 		if err != nil {
 			return "", false, err
 		}

@@ -309,31 +309,28 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 		return res, nil
 	}
 
-	// Phases A (source metas) and B (conjunct analysis) are pure
-	// functions of the statement and the schema; fetch them from the
-	// shared plan cache (building on miss).
+	// The plan — source metas, conjunct sites and their bound forms —
+	// is a pure function of the statement and the schema; fetch it from
+	// the shared plan cache (building on miss).
 	plan, err := db.selPlanFor(ctx, sel)
 	if err != nil {
 		return nil, err
 	}
-	srcMetas, conjuncts := plan.srcMetas, plan.conjuncts
-	used := make(map[*conjunct]bool)
 
-	// Phase C: sequential join.
+	// Sequential join.
 	acc := &rel{rows: [][][]types.Value{{}}}
 	for i, fr := range sel.From {
-		ms := srcMetas[i]
-		combinedMetas := append(append([]entryMeta{}, acc.metas...), ms...)
-
-		if tf, ok := fr.(*sqlast.TableFunc); ok {
+		ms := plan.srcMetas[i]
+		st := &plan.steps[i]
+		if st.tf != nil {
 			if len(acc.metas) > 0 && len(acc.rows) == 0 {
 				// Nothing to pair the function's rows with: skip the
 				// call, as the per-row evaluation below would.
-				acc = &rel{metas: combinedMetas}
+				acc = &rel{metas: append(append([]entryMeta{}, acc.metas...), ms...)}
 				continue
 			}
-			if plan.correlated[i] {
-				if acc, err = db.lateralTableFunc(ctx, tf, acc, ms, conjuncts, used); err != nil {
+			if st.lateral {
+				if acc, err = db.lateralTableFunc(ctx, st, acc, ms); err != nil {
 					return nil, err
 				}
 				continue
@@ -341,65 +338,26 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 			// Otherwise the function is an ordinary source: called once,
 			// scanned with pushdown, and joined below.
 		}
-
-		// Pushdown: conjuncts referencing only this source.
-		var pushdown []*conjunct
-		for _, c := range conjuncts {
-			if !used[c] && c.subsetOf(ms) && !c.hasSub && len(c.aliases) > 0 {
-				pushdown = append(pushdown, c)
-				used[c] = true
-			}
-		}
-		loaded, err := db.loadSourcePrepared(ctx, fr, ms, pushdown)
+		loaded, err := db.loadSourcePrepared(ctx, fr, ms, st.conds, st.tf)
 		if err != nil {
 			return nil, err
 		}
-
-		if len(acc.metas) == 0 {
+		if st.join == nil {
 			acc = loaded
 			continue
 		}
-
-		// Join conjuncts applicable once this source is added.
-		var joinConj []*conjunct
-		for _, c := range conjuncts {
-			if !used[c] && c.subsetOf(combinedMetas) && !c.hasSub {
-				joinConj = append(joinConj, c)
-				used[c] = true
-			}
-		}
-		acc, err = db.joinRels(ctx, acc, loaded, joinConj, false)
+		acc, err = db.joinRels(ctx, acc, loaded, st.join, false)
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	// Residual filter. Cheap predicates run before stored-routine
-	// invocations so an overlap or comparison can short-circuit an
-	// expensive call (simple selectivity ordering).
-	var residual []*conjunct
-	for _, c := range conjuncts {
-		if !used[c] {
-			residual = append(residual, c)
-		}
-	}
-	db.orderByCost(residual)
-	if len(residual) > 0 {
+	if len(plan.residual.eval) > 0 {
 		kept := acc.rows[:0:0]
-		rscope := newBoundScope(ctx.scope, acc.metas)
-		rctx := ctx.withScope(rscope)
 		for _, row := range acc.rows {
-			rscope.bind(row)
-			keep := true
-			for _, c := range residual {
-				v, err := db.evalExpr(rctx, c.expr)
-				if err != nil {
-					return nil, err
-				}
-				if types.TriboolFromValue(v) != types.True {
-					keep = false
-					break
-				}
+			keep, err := plan.residual.pass(ctx, row, -1)
+			if err != nil {
+				return nil, err
 			}
 			if keep {
 				kept = append(kept, row)
@@ -409,33 +367,22 @@ func (db *DB) evalSelect(ctx *execCtx, sel *sqlast.SelectStmt, limitHint int) (*
 	}
 
 	// Aggregation or plain projection.
-	aggs := collectAggregates(sel)
-	if len(sel.GroupBy) > 0 || len(aggs) > 0 {
-		return db.evalGrouped(ctx, sel, acc, aggs)
+	if plan.grouped {
+		return db.evalGrouped(ctx, sel, acc, plan.aggs)
 	}
-	return db.project(ctx, sel, acc, limitHint)
+	return db.project(ctx, sel, plan.proj, acc, limitHint)
 }
 
 // lateralTableFunc joins acc with a correlated table function, calling
-// it once per accumulated row with that row in scope. Repeated
-// argument vectors of a write-free routine are answered from the
-// statement memo (fnmemo.go). Conjuncts that become applicable once the
-// function's columns are bound filter each combined row and are marked
-// used.
-func (db *DB) lateralTableFunc(ctx *execCtx, tf *sqlast.TableFunc, acc *rel, ms []entryMeta, conjuncts []*conjunct, used map[*conjunct]bool) (*rel, error) {
-	combinedMetas := append(append([]entryMeta{}, acc.metas...), ms...)
-	next := &rel{metas: combinedMetas}
-	var applicable []*conjunct
-	for _, c := range conjuncts {
-		if !used[c] && c.subsetOf(combinedMetas) && !c.hasSub {
-			applicable = append(applicable, c)
-			used[c] = true
-		}
-	}
-	db.orderByCost(applicable)
+// it once per accumulated row with its arguments evaluated over that
+// row. Repeated argument vectors of a write-free routine are answered
+// from the statement memo (fnmemo.go). The step's conds — the
+// conjuncts applicable once the function's columns are bound — filter
+// each combined row.
+func (db *DB) lateralTableFunc(ctx *execCtx, st *selStep, acc *rel, ms []entryMeta) (*rel, error) {
+	next := &rel{metas: append(append([]entryMeta{}, acc.metas...), ms...)}
 	for _, arow := range acc.rows {
-		scope := bindScope(ctx.scope, acc.metas, arow)
-		t, err := db.tableFunc(ctx.withScope(scope), tf, ms[0])
+		t, err := db.tableFunc(ctx, st.tf, arow, ms[0])
 		if err != nil {
 			return nil, err
 		}
@@ -443,18 +390,10 @@ func (db *DB) lateralTableFunc(ctx *execCtx, tf *sqlast.TableFunc, acc *rel, ms 
 			continue
 		}
 		for _, frow := range t.Rows {
-			combined := append(append([][]types.Value{}, arow...), frow)
-			cctx := ctx.withScope(bindScope(ctx.scope, combinedMetas, combined))
-			keep := true
-			for _, c := range applicable {
-				v, err := db.evalExpr(cctx, c.expr)
-				if err != nil {
-					return nil, err
-				}
-				if types.TriboolFromValue(v) != types.True {
-					keep = false
-					break
-				}
+			combined := append(append(make([][]types.Value, 0, len(arow)+1), arow...), frow)
+			keep, err := st.conds.pass(ctx, combined, -1)
+			if err != nil {
+				return nil, err
 			}
 			if keep {
 				next.rows = append(next.rows, combined)
@@ -474,9 +413,9 @@ func itemName(it sqlast.SelectItem, i int) string {
 	return fmt.Sprintf("col%d", i+1)
 }
 
-// project evaluates the select list per row, then applies DISTINCT,
-// ORDER BY, and the row limit.
-func (db *DB) project(ctx *execCtx, sel *sqlast.SelectStmt, acc *rel, limitHint int) (*Result, error) {
+// project evaluates the bound select list per row, then applies
+// DISTINCT, ORDER BY, and the row limit.
+func (db *DB) project(ctx *execCtx, sel *sqlast.SelectStmt, pp *projPlan, acc *rel, limitHint int) (*Result, error) {
 	res := &Result{}
 	// output column names
 	for i, it := range sel.Items {
@@ -496,15 +435,15 @@ func (db *DB) project(ctx *execCtx, sel *sqlast.SelectStmt, acc *rel, limitHint 
 		}
 	}
 
-	var rows []projRow
 	fastLimit := limitHint > 0 && len(sel.OrderBy) == 0 && !sel.Distinct
-
-	pscope := newBoundScope(ctx.scope, acc.metas)
-	rctx := ctx.withScope(pscope)
+	n := len(acc.rows)
+	if fastLimit && limitHint < n {
+		n = limitHint
+	}
+	rows := make([]projRow, 0, n)
 	for _, row := range acc.rows {
-		pscope.bind(row)
-		var vals []types.Value
-		for _, it := range sel.Items {
+		vals := make([]types.Value, 0, pp.nvals)
+		for i, it := range sel.Items {
 			switch {
 			case it.Star:
 				for _, er := range row {
@@ -517,7 +456,7 @@ func (db *DB) project(ctx *execCtx, sel *sqlast.SelectStmt, acc *rel, limitHint 
 					}
 				}
 			default:
-				v, err := db.evalExpr(rctx, it.Expr)
+				v, err := pp.items[i](ctx, row)
 				if err != nil {
 					return nil, err
 				}
@@ -525,8 +464,8 @@ func (db *DB) project(ctx *execCtx, sel *sqlast.SelectStmt, acc *rel, limitHint 
 			}
 		}
 		or := projRow{vals: vals}
-		if len(sel.OrderBy) > 0 {
-			keys, err := db.orderKeys(rctx, sel, vals)
+		if len(pp.order) > 0 {
+			keys, err := pp.orderKeys(ctx, row, vals)
 			if err != nil {
 				return nil, err
 			}
@@ -539,6 +478,26 @@ func (db *DB) project(ctx *execCtx, sel *sqlast.SelectStmt, acc *rel, limitHint 
 	}
 
 	return db.finishResult(ctx, sel, res, rows)
+}
+
+// orderKeys computes the bound ORDER BY keys of one output row.
+func (pp *projPlan) orderKeys(ctx *execCtx, row [][]types.Value, vals []types.Value) ([]types.Value, error) {
+	keys := make([]types.Value, len(pp.order))
+	for i, k := range pp.order {
+		switch {
+		case k.err != nil:
+			return nil, k.err
+		case k.slot >= 0:
+			keys[i] = vals[k.slot]
+		default:
+			v, err := k.eval(ctx, row)
+			if err != nil {
+				return nil, err
+			}
+			keys[i] = v
+		}
+	}
+	return keys, nil
 }
 
 // projRow is a projected output row with its ORDER BY sort keys.
@@ -583,9 +542,10 @@ func (db *DB) finishResult(ctx *execCtx, sel *sqlast.SelectStmt, res *Result, ro
 	return res, nil
 }
 
-// orderKeys computes ORDER BY sort keys for one output row. ORDER BY
-// expressions may be ordinals, select-list aliases, or arbitrary
-// expressions over the row scope.
+// orderKeys computes ORDER BY sort keys for one grouped output row.
+// ORDER BY expressions may be ordinals, select-list aliases, or
+// arbitrary expressions over the row scope (orderKeyFor is the bound
+// counterpart of this resolution).
 func (db *DB) orderKeys(rctx *execCtx, sel *sqlast.SelectStmt, vals []types.Value) ([]types.Value, error) {
 	keys := make([]types.Value, len(sel.OrderBy))
 	for i, o := range sel.OrderBy {

@@ -91,19 +91,20 @@ func cacheablePushdown(cs []*conjunct) bool {
 // take the cached path; everything else (views, derived tables,
 // table-valued variables, parameter-dependent filters) falls through
 // to a fresh load.
-func (db *DB) loadSourcePrepared(ctx *execCtx, ref sqlast.TableRef, metas []entryMeta, pushdown []*conjunct) (*rel, error) {
+func (db *DB) loadSourcePrepared(ctx *execCtx, ref sqlast.TableRef, metas []entryMeta, push filter, call *tfCall) (*rel, error) {
+	pushdown := push.conj
 	p := ctx.prep
 	if p == nil || db.DisablePlanReuse {
-		return db.loadSource(ctx, ref, metas, pushdown)
+		return db.loadSource(ctx, ref, metas, push, call)
 	}
 	bt, ok := ref.(*sqlast.BaseTable)
 	if !ok || !cacheablePushdown(pushdown) {
-		return db.loadSource(ctx, ref, metas, pushdown)
+		return db.loadSource(ctx, ref, metas, push, call)
 	}
 	if ctx.vars != nil && ctx.vars.getTable(bt.Name) != nil {
 		// Shadowed by a table-valued variable (the cp relation, a
 		// collection parameter): contents are per-execution.
-		return db.loadSource(ctx, ref, metas, pushdown)
+		return db.loadSource(ctx, ref, metas, push, call)
 	}
 	p.mu.Lock()
 	if ent := p.rels[bt]; ent != nil && ent.valid(db.Cat, db.Now, pushdown) {
@@ -117,13 +118,13 @@ func (db *DB) loadSourcePrepared(ctx *execCtx, ref sqlast.TableRef, metas []entr
 
 	t := db.Cat.Table(bt.Name)
 	if t == nil {
-		return db.loadSource(ctx, ref, metas, pushdown)
+		return db.loadSource(ctx, ref, metas, push, call)
 	}
 	// Pin before scanning so a racing bump can only make the stamp too
 	// old (a spurious rebuild), never too new.
 	pin := storage.NewPin(db.Cat)
 	pin.Relation(db.Cat, bt.Name, storage.PinData)
-	loaded, err := db.loadSource(ctx, ref, metas, pushdown)
+	loaded, err := db.loadSource(ctx, ref, metas, push, call)
 	if err != nil {
 		return nil, err
 	}
@@ -165,39 +166,22 @@ func (e *prepRel) putHash(sig string, idx map[string][][][]types.Value) {
 }
 
 // hashIndexFor builds (or serves from the prepared plan) the hash
-// table over the right relation's rows keyed by rkeys. Only cached
-// when the right side came out of the prepared cache and every key is
-// a plain column reference — then the table is a pure function of the
-// (already version-validated) cached rows.
-func (db *DB) hashIndexFor(ctx *execCtx, right *rel, rkeys []sqlast.Expr) (map[string][][][]types.Value, error) {
-	sig := ""
-	cacheable := right.prepEnt != nil && !db.DisablePlanReuse
+// table over the right relation's rows keyed by the join's right keys.
+// Only cached when the right side came out of the prepared cache and
+// every key is a plain column reference (jp.rsig is set) — then the
+// table is a pure function of the (already version-validated) cached
+// rows.
+func (db *DB) hashIndexFor(ctx *execCtx, right *rel, jp *joinPlan) (map[string][][][]types.Value, error) {
+	cacheable := right.prepEnt != nil && !db.DisablePlanReuse && jp.rsig != ""
 	if cacheable {
-		for _, k := range rkeys {
-			if _, isCol := k.(*sqlast.ColumnRef); !isCol {
-				cacheable = false
-				break
-			}
-			s := renderSQL(k)
-			if s == "" {
-				cacheable = false
-				break
-			}
-			sig += s + "|"
-		}
-	}
-	if cacheable {
-		if idx, ok := right.prepEnt.hashFor(sig); ok {
+		if idx, ok := right.prepEnt.hashFor(jp.rsig); ok {
 			db.Stats.PlanReuseHits++
 			return idx, nil
 		}
 	}
 	index := make(map[string][][][]types.Value, len(right.rows))
-	rscope := newBoundScope(ctx.scope, right.metas)
-	rctx := ctx.withScope(rscope)
 	for _, rrow := range right.rows {
-		rscope.bind(rrow)
-		key, null, err := db.keyOf(rctx, rkeys)
+		key, null, err := keyOf(ctx, jp.rkeys, rrow)
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +191,7 @@ func (db *DB) hashIndexFor(ctx *execCtx, right *rel, rkeys []sqlast.Expr) (map[s
 		index[key] = append(index[key], rrow)
 	}
 	if cacheable {
-		right.prepEnt.putHash(sig, index)
+		right.prepEnt.putHash(jp.rsig, index)
 	}
 	return index, nil
 }

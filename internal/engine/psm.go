@@ -94,7 +94,11 @@ func (f *varFrame) setCursor(key string, c *cursor) {
 }
 
 func (f *varFrame) get(name string) (types.Value, bool) {
-	k := strings.ToLower(name)
+	return f.getKey(strings.ToLower(name))
+}
+
+// getKey is get for an already lowercased name.
+func (f *varFrame) getKey(k string) (types.Value, bool) {
 	for fr := f; fr != nil; fr = fr.parent {
 		if e := fr.find(k); e != nil && e.hasVal {
 			return e.val, true
@@ -109,7 +113,11 @@ func (f *varFrame) get(name string) (types.Value, bool) {
 }
 
 func (f *varFrame) getTable(name string) *storage.Table {
-	k := strings.ToLower(name)
+	return f.getTableKey(strings.ToLower(name))
+}
+
+// getTableKey is getTable for an already lowercased name.
+func (f *varFrame) getTableKey(k string) *storage.Table {
 	for fr := f; fr != nil; fr = fr.parent {
 		for i, n := range fr.tabNames {
 			if n == k {
@@ -274,12 +282,8 @@ func handlerMatches(handlerCond string, cond *conditionErr) bool {
 // FROM-clause table-function call site, the only kind that may share
 // a memoized collection result (see fnmemo.go).
 func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.Expr, fromSite bool) (types.Value, error) {
-	params := r.Params()
-	if len(argExprs) != len(params) {
-		return types.Null, fmt.Errorf("function %s expects %d arguments, got %d", r.Name, len(params), len(argExprs))
-	}
-	if ctx.depth >= db.MaxRecursion {
-		return types.Null, fmt.Errorf("routine call nesting exceeds %d at %s", db.MaxRecursion, r.Name)
+	if err := db.checkCall(ctx, r, len(argExprs)); err != nil {
+		return types.Null, err
 	}
 	args := make([]types.Value, len(argExprs))
 	for i := range argExprs {
@@ -289,6 +293,38 @@ func (db *DB) callFunction(ctx *execCtx, r *storage.Routine, argExprs []sqlast.E
 		}
 		args[i] = v
 	}
+	return db.invokeFunction(ctx, r, args, fromSite)
+}
+
+// callBound is callFunction with arguments bound against the calling
+// site's layout (bind.go), evaluated over row.
+func (db *DB) callBound(ctx *execCtx, r *storage.Routine, argFns []boundExpr, row [][]types.Value, fromSite bool) (types.Value, error) {
+	if err := db.checkCall(ctx, r, len(argFns)); err != nil {
+		return types.Null, err
+	}
+	args, err := evalArgs(ctx, argFns, row)
+	if err != nil {
+		return types.Null, err
+	}
+	return db.invokeFunction(ctx, r, args, fromSite)
+}
+
+// checkCall validates a call's arity and nesting depth before its
+// arguments are evaluated.
+func (db *DB) checkCall(ctx *execCtx, r *storage.Routine, nargs int) error {
+	if params := r.Params(); nargs != len(params) {
+		return fmt.Errorf("function %s expects %d arguments, got %d", r.Name, len(params), nargs)
+	}
+	if ctx.depth >= db.MaxRecursion {
+		return fmt.Errorf("routine call nesting exceeds %d at %s", db.MaxRecursion, r.Name)
+	}
+	return nil
+}
+
+// invokeFunction runs a stored function over evaluated arguments,
+// consulting the statement memo first.
+func (db *DB) invokeFunction(ctx *execCtx, r *storage.Routine, args []types.Value, fromSite bool) (types.Value, error) {
+	params := r.Params()
 	var memoKey string
 	if ctx.memo != nil {
 		if memoKey = db.memoKey(r, args, fromSite); memoKey != "" {
@@ -777,9 +813,7 @@ func (db *DB) execFor(ctx *execCtx, s *sqlast.ForStmt) error {
 		return err
 	}
 	for _, row := range res.Rows {
-		scope := &rowScope{parent: ctx.scope, entries: []scopeEntry{{
-			alias: s.LoopVar, cols: res.Cols, row: row,
-		}}}
+		scope := bindScope(ctx.scope, []entryMeta{{alias: s.LoopVar, cols: res.Cols}}, [][]types.Value{row})
 		lctx := ctx.withScope(scope)
 		lerr := db.execStmts(lctx, s.Body)
 		if lerr == nil {

@@ -61,9 +61,12 @@ func NewPin(c *Catalog) *Pin {
 	return p
 }
 
-// Routine pins the identity of the routine name resolves to.
-func (p *Pin) Routine(c *Catalog, name string) {
-	p.add(pinEntry{name: name, isRoutine: true, routine: c.Routine(name)}, false)
+// Routine pins the identity of the routine name resolves to (nil:
+// none) and returns it.
+func (p *Pin) Routine(c *Catalog, name string) *Routine {
+	r := c.Routine(name)
+	p.add(pinEntry{name: name, isRoutine: true, routine: r}, false)
+	return r
 }
 
 // Relation pins what name resolves to as a relation — a table, else a
